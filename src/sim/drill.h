@@ -23,6 +23,21 @@ struct AclStage {
   double drop_fraction;  ///< of non-conforming traffic, in [0, 1]
 };
 
+/// The §6 drill's ACL schedule: 12.5%, 50% and 100% of non-conforming
+/// traffic dropped in turn, then rolled back (final stage with fraction 0).
+/// Built element by element rather than from an initializer list, whose
+/// static backing array GCC 12 at -O2 -march=native misreports as
+/// maybe-uninitialized.
+inline std::vector<AclStage> default_acl_stages() {
+  std::vector<AclStage> stages;
+  stages.reserve(4);
+  stages.push_back(AclStage{65.0 * 60.0, 0.125});
+  stages.push_back(AclStage{100.0 * 60.0, 0.50});
+  stages.push_back(AclStage{135.0 * 60.0, 1.0});
+  stages.push_back(AclStage{170.0 * 60.0, 0.0});
+  return stages;
+}
+
 /// A runtime fault injected into the drill at a scheduled simulation time
 /// (kControlStratum, so it lands before that timestamp's world sweep).
 struct DrillFault {
@@ -51,8 +66,7 @@ struct DrillConfig {
 
   /// The §6 methodology: progressively increase the dropped percentage of
   /// non-conforming traffic, then roll back (final stage with fraction 0).
-  std::vector<AclStage> acl_stages = {
-      {65.0 * 60.0, 0.125}, {100.0 * 60.0, 0.50}, {135.0 * 60.0, 1.0}, {170.0 * 60.0, 0.0}};
+  std::vector<AclStage> acl_stages = default_acl_stages();
 
   /// Service demand ramp: starts below the reduced entitlement ("the service
   /// is not busy") and grows past it.
