@@ -46,6 +46,10 @@ class MpscQueue {
   /// CAS loop per push.
   void push(T value) {
     Node* const node = new Node{std::move(value), nullptr};
+    // Count BEFORE publishing: a consumer that pops the node and decrements
+    // first would wrap the counter below zero, and a wait predicate reading
+    // the wrapped value sees a huge backlog in an empty queue.
+    depth_.fetch_add(1, std::memory_order_release);
     // Link BEFORE publishing: an exchange would expose the node to a
     // concurrently-draining consumer while its `next` still points
     // nowhere, truncating the stack behind it.
@@ -54,7 +58,6 @@ class MpscQueue {
       node->next = old_head;
     } while (!head_.compare_exchange_weak(old_head, node, std::memory_order_release,
                                           std::memory_order_relaxed));
-    depth_.fetch_add(1, std::memory_order_release);
   }
 
   /// Single-consumer pop in FIFO order (per producer). Returns false when

@@ -78,9 +78,10 @@ void ShardPool::worker_loop(Shard& shard) {
       shard.cv.wait(lock, [&] { return shard.stopping || shard.queue.approx_size() > 0; });
       if (shard.queue.pop(task)) {
         lock.unlock();
+      } else if (shard.stopping) {
+        return;  // stopping with an empty queue: drain complete
       } else {
-        // stopping with an empty queue: drain complete, exit.
-        return;
+        continue;  // a push counted but not yet published: look again
       }
     }
     task();  // packaged_task routes exceptions into the caller's future
