@@ -278,11 +278,11 @@ int main(int argc, char** argv) {
   json.add("fastpath_decisions_identical", decisions_identical);
 
   // --- Sharded admission plane: the identical request stream replayed at
-  // 1/2/4/8 shard workers (service/sharded_admission.h). Each window's
-  // realizations fan out across shard-owned routers and are merged in
-  // ascending realization order, so verdicts, approved rates and residual
-  // state must be bit-identical at every shard count; wall-clock should
-  // scale with available cores.
+  // 1/2/4/8 shards (exec.shards: the width of the per-realization fan-out on
+  // the controller's thread pool). Realization jobs share the warmed main
+  // router and are merged in ascending realization order, so verdicts,
+  // approved rates and residual state must be bit-identical at every shard
+  // count; wall-clock should scale with available cores.
   print_header("BENCH admission (sharded)",
                "Per-realization shard fan-out at 1/2/4/8 shards: decisions must "
                "be bit-identical to the 1-shard run; wall-clock scales with "

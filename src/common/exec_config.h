@@ -23,12 +23,12 @@ struct ExecConfig {
   /// the drill's per-host loops, hardware concurrency for risk sweeps).
   std::optional<std::size_t> threads;
 
-  /// Shard workers for consumers that partition work across independent
-  /// shard-owned state (the admission plane partitions realizations across
-  /// shard workers, each owning its own warmed router and estimator state).
-  /// Unset or <= 1 keeps the single-shard in-place path. Orthogonal to
-  /// `threads`, which sizes the fan-out pools *inside* one unit of work.
-  /// Results are bit-identical at any shard count.
+  /// Width of the outer fan-out for consumers whose work splits into
+  /// independent units (the admission plane assesses a window's
+  /// realizations this many at a time, on the same pool as its `threads`
+  /// loops; loops inside a unit then run inline). Unset or <= 1 assesses
+  /// the units one after another. Results are bit-identical at any shard
+  /// count.
   std::optional<std::size_t> shards;
 
   /// Effective thread count given the consumer's default (clamped to >= 1).

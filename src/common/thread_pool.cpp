@@ -10,6 +10,14 @@
 
 namespace netent {
 
+namespace {
+
+/// The pool whose loop body (or task) this thread is running, if any: a
+/// parallel_for on that pool from here runs inline.
+thread_local const ThreadPool* tls_running_pool = nullptr;
+
+}  // namespace
+
 std::size_t ThreadPool::default_thread_count() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -82,6 +90,7 @@ bool ThreadPool::try_pop(std::size_t self, std::packaged_task<void()>& out) {
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
+  tls_running_pool = this;
   for (;;) {
     std::packaged_task<void()> task;
     if (try_pop(self, task)) {
@@ -104,16 +113,19 @@ void ThreadPool::worker_loop(std::size_t self) {
 }
 
 void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
+                              const std::function<void(std::size_t)>& body,
+                              std::size_t width) {
   NETENT_EXPECTS(body != nullptr);
-  parallel_for_with_worker(begin, end,
-                           [&body](std::size_t /*worker*/, std::size_t i) { body(i); });
+  parallel_for_with_worker(
+      begin, end, [&body](std::size_t /*worker*/, std::size_t i) { body(i); }, width);
 }
 
 void ThreadPool::parallel_for_with_worker(
     std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t worker, std::size_t index)>& body) {
+    const std::function<void(std::size_t worker, std::size_t index)>& body,
+    std::size_t width) {
   NETENT_EXPECTS(body != nullptr);
+  NETENT_EXPECTS(width >= 1);
   if (begin >= end) return;
 
   struct Shared {
@@ -144,14 +156,22 @@ void ThreadPool::parallel_for_with_worker(
   };
 
   // The calling thread participates, so the loop completes even when every
-  // worker is busy with unrelated submissions.
-  const std::size_t helpers = std::min(workers_.size(), end - begin);
+  // worker is busy with unrelated submissions. A loop nested in a task or a
+  // fanned-out body of this pool gets no helpers: the workers may all be
+  // busy with the loop around it.
+  const std::size_t helpers =
+      tls_running_pool == this ? 0 : std::min({width - 1, workers_.size(), end - begin - 1});
   std::vector<std::future<void>> futures;
   futures.reserve(helpers);
   for (std::size_t t = 0; t < helpers; ++t) {
     futures.push_back(submit([drain, t] { drain(t); }));
   }
+  // While it drains beside helpers, the calling thread counts as running a
+  // body of this pool, so loops nested in its bodies run inline too.
+  const ThreadPool* const outer = tls_running_pool;
+  if (helpers > 0) tls_running_pool = this;
   drain(helpers);  // the calling thread's slot
+  tls_running_pool = outer;
   for (std::future<void>& future : futures) future.get();
 
   if (shared->first_error) std::rethrow_exception(shared->first_error);

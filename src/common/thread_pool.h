@@ -5,6 +5,11 @@
 // fan-out: invocations write to index-addressed slots, so results are
 // bit-identical to a serial loop regardless of thread count — only the
 // schedule is nondeterministic.
+//
+// Nesting: a parallel_for started from inside a body of a loop that fanned
+// out on the same pool (or from any task a worker runs) runs inline on the
+// calling thread. Nested loops therefore cannot deadlock waiting for
+// workers that are all busy with the outer loop.
 #pragma once
 
 #include <condition_variable>
@@ -13,6 +18,7 @@
 #include <deque>
 #include <functional>
 #include <future>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -41,22 +47,30 @@ class ThreadPool {
   /// pool executes submissions in FIFO order.
   std::future<void> submit(std::function<void()> task);
 
-  /// Runs body(i) exactly once for every i in [begin, end), spread over the
-  /// workers plus the calling thread, and returns once all invocations
-  /// finished. Indices are claimed dynamically (work stealing by atomic
-  /// increment), so uneven per-index cost balances out. If any invocations
-  /// throw, the exception of the lowest throwing index is rethrown.
-  /// Not reentrant: do not call from inside a pool task.
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t)>& body);
+  /// Width of a loop that may use every worker plus the calling thread.
+  static constexpr std::size_t kFullWidth = std::numeric_limits<std::size_t>::max();
 
-  /// As parallel_for(), but hands the body a worker slot in [0, size()]
-  /// alongside the index: each concurrently-draining task owns a distinct
-  /// slot (the calling thread included), so callers can pre-allocate
-  /// size() + 1 scratch workspaces and index them without locking.
+  /// Runs body(i) exactly once for every i in [begin, end) and returns once
+  /// all invocations finished. At most `width` invocations run at once: the
+  /// calling thread plus up to width - 1 workers, so a width of 1 runs the
+  /// loop on the calling thread without any hand-off. Indices are claimed
+  /// dynamically (work stealing by atomic increment), so uneven per-index
+  /// cost balances out. If any invocations throw, the exception of the
+  /// lowest throwing index is rethrown. Called from inside a pool task or a
+  /// fanned-out body of this pool, the loop runs inline (see Nesting).
+  void parallel_for(std::size_t begin, std::size_t end,
+                    const std::function<void(std::size_t)>& body,
+                    std::size_t width = kFullWidth);
+
+  /// As parallel_for(), but hands the body a worker slot in
+  /// [0, min(width, size() + 1)) alongside the index: each concurrently
+  /// draining thread owns a distinct slot (the calling thread included), so
+  /// callers can pre-allocate that many scratch workspaces and index them
+  /// without locking.
   void parallel_for_with_worker(
       std::size_t begin, std::size_t end,
-      const std::function<void(std::size_t worker, std::size_t index)>& body);
+      const std::function<void(std::size_t worker, std::size_t index)>& body,
+      std::size_t width = kFullWidth);
 
  private:
   /// One worker's deque. The owner pops from the front, thieves steal from

@@ -61,10 +61,8 @@ struct ServiceMetrics {
   obs::Counter& replay_demands_reused = reg.counter("service.admission.replay.demands_reused");
   obs::Counter& fastpath_audited = reg.counter("risk.fastpath.audited");
   obs::Counter& fastpath_audit_violations = reg.counter("risk.fastpath.audit_violations");
-  /// Sharded-mode fan-out accounting: sub-windows posted to shard workers
-  /// and deterministic cross-shard merges completed (one per window).
-  obs::Counter& shard_subwindows = reg.counter("service.admission.shard.subwindows");
-  obs::Counter& shard_merges = reg.counter("service.admission.shard.merges");
+  /// Realization jobs handed to the pool (exec.shards > 1 only).
+  obs::Counter& shard_jobs = reg.counter("service.admission.shard.jobs");
   obs::Histogram& window_size = reg.histogram("service.admission.window_size",
                                               std::array{1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0});
   obs::Histogram& latency_seconds = reg.timer_histogram("service.admission.latency_seconds");
@@ -97,8 +95,11 @@ AdmissionController::AdmissionController(const topology::Topology& topo, Admissi
       threads_(config_.exec.resolve(config_.approval.sweep_threads())),
       shards_(config_.exec.resolve_shards()),
       router_(topo, config_.router_paths),
-      pool_(shards_ > 1 ? std::make_unique<ShardPool>(topo, shards_, config_.router_paths)
-                        : nullptr),
+      // The calling thread drains beside the workers, so max(threads, shards)
+      // - 1 workers give every loop its full width.
+      pool_(std::max(threads_, shards_) > 1
+                ? std::make_unique<ThreadPool>(std::max(threads_, shards_) - 1)
+                : nullptr),
       engine_(router_, with_threads(config_.approval, threads_)),
       negotiator_(router_, with_threads(config_.approval, threads_), config_.negotiation),
       base_capacity_(router_.full_capacities()),  // view into router_; outlived by it
@@ -210,12 +211,21 @@ AdmissionOutcome AdmissionController::apply_topology_delta(
 }
 
 void AdmissionController::flush() {
+  std::unique_lock<std::mutex> lock(queue_mutex_);
+  // A window already taken may hold requests submitted before this call.
+  queue_cv_.wait(lock, [&] { return windows_in_flight_ == 0; });
+  process_queued(lock);
+}
+
+void AdmissionController::process_queued(std::unique_lock<std::mutex>& lock) {
   std::vector<Pending> window;
-  {
-    const std::lock_guard<std::mutex> lock(queue_mutex_);
-    window.swap(pending_);
-  }
+  window.swap(pending_);
+  ++windows_in_flight_;
+  lock.unlock();
   process_window(std::move(window));
+  lock.lock();
+  --windows_in_flight_;
+  queue_cv_.notify_all();
 }
 
 void AdmissionController::worker_loop() {
@@ -254,11 +264,7 @@ void AdmissionController::worker_loop() {
         queue_cv_.wait_until(lock, deadline);
       }
     }
-    std::vector<Pending> window;
-    window.swap(pending_);
-    lock.unlock();
-    process_window(std::move(window));
-    lock.lock();
+    process_queued(lock);
   }
 }
 
@@ -491,7 +497,7 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
         engine_.draw_realizations(window_hoses, {}, rng_);
 
     // Everything one realization's assessment produces, confined to its
-    // shard worker until the ascending-order merge below.
+    // job until the ascending-order merge below.
     struct RealizationOutcome {
       std::vector<PipeApprovalResult> approvals;
       approval::ApprovalEngine::FastPassResult fast_pass;
@@ -500,7 +506,7 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
     };
     std::vector<RealizationOutcome> sub(realizations);
 
-    const auto assess_realization = [&](std::size_t k, topology::Router& router) {
+    const auto assess_realization = [&](std::size_t k) {
       const std::span<const PipeRequest> pipes = drawn_pipes[k];
       if (pipes.empty()) return;
       const std::vector<std::size_t> order = engine_.placement_order(pipes);
@@ -512,19 +518,17 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
       }
       const risk::FastEstimator* fast = fast_eligible ? &fast_[k] : nullptr;
       RealizationOutcome& out = sub[k];
-      out.approvals = engine_.pipe_approval_on(
-          router, pipes,
+      out.approvals = engine_.pipe_approval_with(
+          pipes,
           [&](std::span<const Demand> demands) {
-            return curves_against_residuals(router, *eval_residual, k, demands);
+            return curves_against_residuals(*eval_residual, k, demands);
           },
           fast, &out.fast_pass);
       if (out.fast_pass.hit && config_.approval.fastpath.audit) {
         // Snapshot the state the bounds summarize — but only the links the
-        // audit replay's water-fill can read: the demands' candidate paths
-        // (the shard router's cache, warmed by the approval above, holds
-        // exactly the same deterministic paths as the main router's).
+        // audit replay's water-fill can read: the demands' candidate paths.
         for (const DrawnDemand& d : record) {
-          const topology::PathList paths = router.cached_paths(d.demand.src, d.demand.dst);
+          const topology::PathList paths = router_.cached_paths(d.demand.src, d.demand.dst);
           NETENT_EXPECTS(paths.valid());
           for (const topology::PathView path : paths) {
             out.audit_links.insert(out.audit_links.end(), path.links.begin(), path.links.end());
@@ -542,40 +546,24 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
       }
     };
 
-    if (pool_ == nullptr) {
-      for (std::size_t k = 0; k < realizations; ++k) assess_realization(k, router_);
-    } else {
-      // Fan the sub-windows out by realization (realization k on shard
-      // k % shards). Each realization's mutable state — drawn[k], sub[k],
-      // fast_[k], the shard's router — is touched by exactly one worker;
-      // residual_/eval_scratch are read-only during assessment; the futures
-      // join is the only synchronization needed.
-      std::vector<std::future<void>> futures;
-      futures.reserve(realizations);
-      for (std::size_t k = 0; k < realizations; ++k) {
-        const std::size_t shard = pool_->shard_of(k);
-        futures.push_back(pool_->post(
-            shard, [&assess_realization, this, k, shard] {
-              assess_realization(k, pool_->router(shard));
-            }));
-        m.shard_subwindows.add();
-      }
-      std::exception_ptr first_error;
-      for (std::future<void>& future : futures) {
-        try {
-          future.get();
-        } catch (...) {
-          // Keep joining: no worker may still reference this frame when the
-          // rethrow unwinds it (process_window fails the whole window).
-          if (first_error == nullptr) first_error = std::current_exception();
-        }
-      }
-      if (first_error != nullptr) std::rethrow_exception(first_error);
+    // Realization jobs share router_: warm it for every drawn pair first,
+    // so the jobs only read its path cache. Under the SweepGuard a missed
+    // pair throws instead of racing a cache insert. Each realization's
+    // mutable state — drawn[k], sub[k] — is touched by exactly one job;
+    // residual_, eval_scratch and fast_ are read-only during assessment.
+    // A throwing job fails the whole window (process_window).
+    for (const std::vector<PipeRequest>& pipes : drawn_pipes) {
+      for (const PipeRequest& pipe : pipes) (void)router_.paths(pipe.src, pipe.dst);
     }
+    {
+      const topology::Router::SweepGuard guard(router_);
+      fan_out(shards_, realizations, [&](std::size_t, std::size_t k) { assess_realization(k); });
+    }
+    if (shards_ > 1) m.shard_jobs.add(realizations);
 
-    // Deterministic cross-shard merge, ascending realization order: the
-    // fast-path stats, the audit queue and the hose aggregation all fold
-    // exactly as the 1-shard serial loop would.
+    // Deterministic merge, ascending realization order: the fast-path
+    // stats, the audit queue and the hose aggregation all fold exactly as
+    // the serial loop would.
     std::vector<std::vector<PipeApprovalResult>> assessed(realizations);
     for (std::size_t k = 0; k < realizations; ++k) {
       RealizationOutcome& out = sub[k];
@@ -596,7 +584,6 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
         ++fast_stats_.fallbacks;
       }
     }
-    if (pool_ != nullptr) m.shard_merges.add();
     results = engine_.aggregate_realizations(window_hoses, drawn_pipes, assessed);
   }
 
@@ -646,19 +633,6 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
       batch.demands[k].push_back({d.demand, it->second});
       ++committed;
     }
-  }
-
-  if (pool_ != nullptr && committed > 0) {
-    // Sharded mode warmed this window's paths on the shard routers only;
-    // the commit/rebuild replays below read the MAIN router's cache. Warm it
-    // for the committed demands — deterministic KSP, so the paths equal the
-    // shards' (a no-op for anything already cached).
-    std::vector<Demand> to_warm;
-    to_warm.reserve(committed);
-    for (const auto& per_realization : batch.demands) {
-      for (const TaggedDemand& tagged : per_realization) to_warm.push_back(tagged.demand);
-    }
-    router_.warm(to_warm);
   }
 
   std::set<ContractId> final_removed = released_ids;
@@ -854,10 +828,9 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   }
 
   // --- Apply, then resync every topology-derived cache in dependency
-  // order: main router (path store + effective capacities), shard routers
-  // (on their own workers, for the happens-before edge with later jobs),
-  // approval engine (scenarios + simulator + pristine fast summaries), and
-  // finally this controller's base-capacity view.
+  // order: main router (path store + effective capacities), approval engine
+  // (scenarios + simulator + pristine fast summaries), and finally this
+  // controller's base-capacity view.
   const std::uint64_t from_epoch = topo.epoch();
   for (const topology::Mutation& mut : request.mutations) (void)topo.apply(mut);
   m.mutations_applied.add(request.mutations.size());
@@ -865,15 +838,6 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
   topology::TopologyResyncStats resync_stats;
   std::vector<std::pair<RegionId, RegionId>> changed_pairs;
   router_.resync_topology(&resync_stats, &changed_pairs);
-  if (pool_ != nullptr) {
-    std::vector<std::future<void>> futures;
-    futures.reserve(pool_->shard_count());
-    for (std::size_t shard = 0; shard < pool_->shard_count(); ++shard) {
-      futures.push_back(
-          pool_->post(shard, [this, shard] { pool_->router(shard).resync_topology(); }));
-    }
-    for (std::future<void>& future : futures) future.get();
-  }
   const bool scenarios_changed = engine_.resync_topology();
   base_capacity_ = router_.full_capacities();  // may have grown / moved
   // Every checkpoint holds pre-mutation scenario capacities, and the
@@ -979,7 +943,7 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
         if (history[i].slot == slot) demands.push_back(history[i].demand);
       }
       const std::vector<risk::AvailabilityCurve> curves =
-          curves_against_residuals(router_, minus_c, k, demands);
+          curves_against_residuals(minus_c, k, demands);
       for (std::size_t i = 0; i < demands.size(); ++i) {
         const double amount = demands[i].amount.value();
         if (amount <= kEps) continue;
@@ -1047,30 +1011,21 @@ AdmissionOutcome AdmissionController::evaluate_topology_window(const AdmissionRe
 }
 
 std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residuals(
-    topology::Router& router, const ResidualState& residuals, std::size_t k,
-    std::span<const Demand> demands) {
-  router.warm(demands);
+    const ResidualState& residuals, std::size_t k, std::span<const Demand> demands) {
   const std::span<const risk::FailureScenario> scenarios = engine_.scenarios();
   const std::size_t scenario_count = scenarios.size();
   std::vector<std::vector<double>> placed(scenario_count);
   {
-    const topology::Router::SweepGuard guard(router);
-    const std::size_t threads = fanout_threads(scenario_count);
+    const topology::Router::SweepGuard guard(router_);
     // Per-worker RouteResult scratch (reused across scenarios) keeps the
     // fan-out's steady state allocation-free apart from the per-scenario
     // output vectors.
-    std::vector<topology::RouteResult> scratch(threads + 1);
-    const auto run = [&](std::size_t worker, std::size_t s) {
+    std::vector<topology::RouteResult> scratch(threads_);
+    fan_out(threads_, scenario_count, [&](std::size_t worker, std::size_t s) {
       topology::RouteResult& result = scratch[worker];
-      router.route_warmed_into(demands, residuals[k][s], result);
+      router_.route_warmed_into(demands, residuals[k][s], result);
       placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
-    };
-    if (threads <= 1) {
-      for (std::size_t s = 0; s < scenario_count; ++s) run(0, s);
-    } else {
-      ThreadPool pool(threads);
-      pool.parallel_for_with_worker(0, scenario_count, run);
-    }
+    });
   }
   // Scenario-order merge — the same construction availability_curves uses,
   // so curves over pristine residuals are bit-identical to the simulator's.
@@ -1102,7 +1057,7 @@ AdmissionController::ResidualState AdmissionController::residuals_of(
   const topology::SrlgIndex& index = engine_.simulator().srlg_index();
   ResidualState state(realizations);
   for (auto& per_scenario : state) per_scenario.resize(scenario_count);
-  const auto cell = [&](std::size_t c) {
+  fan_out(threads_, realizations * scenario_count, [&](std::size_t, std::size_t c) {
     const std::size_t k = c / scenario_count;
     const std::size_t s = c % scenario_count;
     std::vector<double>& residual = state[k][s];
@@ -1112,15 +1067,7 @@ AdmissionController::ResidualState AdmissionController::residuals_of(
         place_demand(entry.demand, residual);
       }
     }
-  };
-  const std::size_t cells = realizations * scenario_count;
-  const std::size_t threads = fanout_threads(cells);
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < cells; ++c) cell(c);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(0, cells, cell);
-  }
+  });
   return state;
 }
 
@@ -1243,7 +1190,7 @@ void AdmissionController::replay_without(std::span<const ContractId> removed, bo
     }
     return count;
   };
-  const auto cell = [&](std::size_t c) {
+  fan_out(threads_, cells, [&](std::size_t, std::size_t c) {
     const std::size_t k = selected[c / scenario_count];
     const std::size_t s = c % scenario_count;
     const ReplayTrack& track = tracks_[k];
@@ -1270,14 +1217,7 @@ void AdmissionController::replay_without(std::span<const ContractId> removed, bo
                 snaps.begin() + static_cast<std::ptrdiff_t>((j + 1) * links));
     }
     placed[c] += place_range(history.subspan(target * track.stride), residual);
-  };
-  const std::size_t threads = fanout_threads(cells);
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < cells; ++c) cell(c);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(0, cells, cell);
-  }
+  });
 
   for (const ContractId id : removed) owners_.skip[owner_slot(id)] = 0;
   for (const std::size_t k : selected) {
@@ -1320,19 +1260,11 @@ void AdmissionController::erase_owners(std::span<const ContractId> owners) {
 void AdmissionController::commit_batch(const Batch& batch) {
   const std::size_t scenario_count = engine_.scenarios().size();
   const std::size_t realizations = config_.approval.realizations;
-  const auto cell = [&](std::size_t c) {
+  fan_out(threads_, realizations * scenario_count, [&](std::size_t, std::size_t c) {
     const std::size_t k = c / scenario_count;
     const std::size_t s = c % scenario_count;
     for (const TaggedDemand& tagged : batch.demands[k]) place_demand(tagged.demand, residual_[k][s]);
-  };
-  const std::size_t cells = realizations * scenario_count;
-  const std::size_t threads = fanout_threads(cells);
-  if (threads <= 1) {
-    for (std::size_t c = 0; c < cells; ++c) cell(c);
-  } else {
-    ThreadPool pool(threads);
-    pool.parallel_for(0, cells, cell);
-  }
+  });
   for (std::size_t k = 0; k < realizations; ++k) {
     for (const TaggedDemand& tagged : batch.demands[k]) {
       tracks_[k].history.push_back(
@@ -1342,9 +1274,14 @@ void AdmissionController::commit_batch(const Batch& batch) {
   owners_.current = false;
 }
 
-std::size_t AdmissionController::fanout_threads(std::size_t items) const {
-  if (threads_ <= 1 || items < 2) return 1;
-  return std::min(threads_, items);
+void AdmissionController::fan_out(
+    std::size_t width, std::size_t count,
+    const std::function<void(std::size_t worker, std::size_t index)>& body) const {
+  if (pool_ == nullptr || width <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(0, i);
+    return;
+  }
+  pool_->parallel_for_with_worker(0, count, body, width);
 }
 
 std::size_t AdmissionController::admitted_count() const {
@@ -1430,10 +1367,7 @@ bool AdmissionController::audit_one() {
 void AdmissionController::audit_record_locked(const AuditRecord& record) {
   ServiceMetrics& m = metrics();
   const std::span<const risk::FailureScenario> scenario_set = engine_.scenarios();
-  // A fast-hit realization of a window that was ultimately REJECTED never
-  // committed, so in sharded mode only its shard router warmed these pairs
-  // — warm the main router before the replay (a no-op when already cached).
-  router_.warm(record.demands);
+  // The window that queued the record warmed router_ for its demand pairs.
   std::vector<double> exact(record.demands.size(), 0.0);
   {
     const topology::Router::SweepGuard guard(router_);

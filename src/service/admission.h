@@ -35,6 +35,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -49,10 +50,10 @@
 #include "common/exec_config.h"
 #include "common/expected.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/contract_db.h"
 #include "hose/requests.h"
 #include "risk/fast_estimator.h"
-#include "service/sharded_admission.h"
 #include "topology/routing.h"
 #include "topology/topology.h"
 
@@ -131,12 +132,15 @@ struct AdmissionConfig {
   /// `approval.fastpath.audit` is set.
   approval::ApprovalConfig approval;
   approval::NegotiationConfig negotiation;
-  /// Execution resources for the per-(realization, scenario) fan-outs.
-  /// `exec.threads` (unset falls back to `approval.sweep_threads()`) sizes
-  /// the scenario-sweep pool; `exec.shards` > 1 additionally partitions each
-  /// window's realizations across that many shard workers, each owning a
-  /// private warmed Router (service/sharded_admission.h). Results are
-  /// bit-identical for every thread count AND every shard count.
+  /// Execution resources for the per-(realization, scenario) fan-outs, all
+  /// run on one controller-owned ThreadPool (built only when either width
+  /// exceeds 1). `exec.shards` is the width of the per-realization
+  /// assessment of each window; `exec.threads` (unset falls back to
+  /// `approval.sweep_threads()`) the width of the scenario and cell loops
+  /// of sweeps, commits and replays. Inside a realization job the scenario
+  /// loop runs inline. Every job reads the one main Router, warmed for the
+  /// window's demand pairs before the fan-out. Results are bit-identical
+  /// for every thread count AND every shard count.
   common::ExecConfig exec;
   std::size_t router_paths = 4;
   std::uint64_t seed = 1;  ///< drives realization drawing (deterministic)
@@ -183,7 +187,7 @@ class AdmissionController {
   /// mutable-topology constructor is required; otherwise the outcome is
   /// `failed`). The whole batch is validated first — one invalid mutation
   /// fails the request without applying anything. On success the router /
-  /// shard routers / approval engine / fast-path summaries are incrementally
+  /// approval engine / fast-path summaries are incrementally
   /// resynced (bit-identical to a from-scratch rebuild on the mutated
   /// topology) and every in-force contract whose placement the delta can
   /// affect is re-verified: still-supportable contracts are reaffirmed,
@@ -192,8 +196,10 @@ class AdmissionController {
   /// shard x thread count: topology windows consume no admission RNG.
   AdmissionOutcome apply_topology_delta(std::vector<topology::Mutation> mutations);
 
-  /// Processes every queued request as one window, synchronously. In
-  /// background mode this is a drain (the worker may also be processing).
+  /// Processes every queued request as one window, synchronously, and
+  /// returns once every request submitted before the call has been
+  /// processed (in background mode it first waits for any window the
+  /// worker has already taken).
   void flush();
 
   [[nodiscard]] const AdmissionConfig& config() const { return config_; }
@@ -326,12 +332,15 @@ class AdmissionController {
   };
 
   void worker_loop();
+  /// Takes every queued request as one window and processes it; `lock`
+  /// holds queue_mutex_ on entry and on return, and is released meanwhile.
+  void process_queued(std::unique_lock<std::mutex>& lock);
   void process_window(std::vector<Pending> window);
   [[nodiscard]] std::vector<AdmissionOutcome> evaluate_window(std::vector<Pending>& window);
   /// Processes one RequestKind::topology request: validate the whole batch,
   /// apply it to *mutable_topo_, resync every topology-derived cache (main
-  /// router, shard routers, approval engine, base-capacity view, residuals,
-  /// fast-path summaries) and re-verify affected in-force contracts.
+  /// router, approval engine, base-capacity view, residuals, fast-path
+  /// summaries) and re-verify affected in-force contracts.
   [[nodiscard]] AdmissionOutcome evaluate_topology_window(const AdmissionRequest& request);
   /// Rebuilds / refreshes the per-realization headroom summaries after the
   /// residual state changed. `dirty_batch` non-null: only links on the
@@ -346,12 +355,10 @@ class AdmissionController {
   void audit_record_locked(const AuditRecord& record);
 
   /// Availability curves for placement-ordered demands of realization `k`
-  /// against `residuals` (the incremental ASSESS_RISK). Warms `router` for
-  /// the demand pairs, then sweeps the scenarios read-only. Shard workers
-  /// pass their shard's private router; the serial path passes router_.
+  /// against `residuals` (the incremental ASSESS_RISK): a read-only sweep
+  /// of the scenarios over router_, which must hold every demand pair.
   [[nodiscard]] std::vector<risk::AvailabilityCurve> curves_against_residuals(
-      topology::Router& router, const ResidualState& residuals, std::size_t k,
-      std::span<const topology::Demand> demands);
+      const ResidualState& residuals, std::size_t k, std::span<const topology::Demand> demands);
   /// Places `demand` into `residual` through water_fill_demand on the main
   /// router's paths — the call sequence commit and rebuild share, which is
   /// what keeps the two bit-identical.
@@ -385,7 +392,11 @@ class AdmissionController {
   /// to the history.
   void commit_batch(const Batch& batch);
 
-  [[nodiscard]] std::size_t fanout_threads(std::size_t cells) const;
+  /// Runs body(worker, i) for every i in [0, count) on pool_, at most
+  /// `width` at a time (serially without a pool); worker slots lie in
+  /// [0, width).
+  void fan_out(std::size_t width, std::size_t count,
+               const std::function<void(std::size_t worker, std::size_t index)>& body) const;
 
   AdmissionConfig config_;
   std::size_t threads_ = 1;
@@ -394,9 +405,9 @@ class AdmissionController {
   /// handle through which topology windows mutate the network.
   topology::Topology* mutable_topo_ = nullptr;
   topology::Router router_;
-  /// Shard workers for the per-realization fan-out; null when shards_ == 1
-  /// (the serial path assesses every realization on router_ in place).
-  std::unique_ptr<ShardPool> pool_;
+  /// The one executor of every fan-out; null when threads_ and shards_
+  /// are both 1.
+  std::unique_ptr<ThreadPool> pool_;
   approval::ApprovalEngine engine_;
   approval::NegotiationEngine negotiator_;
   /// View of router_'s intact capacity array (router_ outlives it).
@@ -425,10 +436,13 @@ class AdmissionController {
   std::mutex audit_mutex_;
   std::vector<AuditRecord> audit_queue_;
 
-  /// Submission queue, guarded by queue_mutex_.
+  /// Submission queue, guarded by queue_mutex_. queue_cv_ signals both
+  /// submissions and finished windows.
   std::mutex queue_mutex_;
   std::condition_variable queue_cv_;
   std::vector<Pending> pending_;
+  /// Windows taken off the queue whose outcomes are not all set yet.
+  std::size_t windows_in_flight_ = 0;
   bool stopping_ = false;
   std::thread worker_;
 };

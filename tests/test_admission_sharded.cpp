@@ -1,17 +1,20 @@
 // Decision-equivalence torture tests for the sharded admission plane
-// (service/sharded_admission.h): the SAME request stream replayed at
-// 1/2/4/8 shards and 1/4 risk threads must produce bit-identical verdicts,
-// approved rates, residual state and contract databases — the determinism
-// contract the shard partition + ascending-realization merge guarantees.
-// Also: adversarial partition shapes (every realization on one shard,
-// non-divisible round-robin wrap, one burst window fanning all shards at
-// once) and shutdown under load (no request dropped, none double-committed).
+// (AdmissionController with exec.shards > 1: each window's realizations are
+// assessed that many at a time on the controller's thread pool): the SAME
+// request stream replayed at 1/2/4/8 shards and 1/4 risk threads must
+// produce bit-identical verdicts, approved rates, residual state and
+// contract databases — the determinism contract the ascending-realization
+// merge guarantees. Also: adversarial partition shapes (one realization at
+// width 8, realizations not divisible by the width, one burst window
+// fanning out at once), shutdown under load (no request dropped, none
+// double-committed) and flush() as a barrier against the background worker.
 #include "service/admission.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <future>
 #include <memory>
@@ -218,8 +221,8 @@ TEST(ShardedAdmission, ChurnTortureEquivalenceAcrossShardsAndThreads) {
   }
 }
 
-// Same equivalence with the two-tier fast path engaged: shard workers probe
-// their realization's FastEstimator concurrently, fast-hit accounting and
+// Same equivalence with the two-tier fast path engaged: realization jobs
+// probe their realization's FastEstimator concurrently, fast-hit accounting and
 // the deferred exact audit must not depend on the shard count, and the
 // audit must find zero bound violations at every shard count.
 TEST(ShardedAdmission, FastPathChurnEquivalenceAcrossShardCounts) {
@@ -246,9 +249,9 @@ TEST(ShardedAdmission, FastPathChurnEquivalenceAcrossShardCounts) {
   }
 }
 
-// Adversarial partition: ONE realization, eight shards — every sub-window
-// lands on shard 0 while seven workers starve. Starved workers must neither
-// block the merge nor perturb the decisions.
+// Adversarial partition: ONE realization at width eight — a single job
+// while seven workers starve. Starved workers must neither block the merge
+// nor perturb the decisions.
 TEST(ShardedAdmission, AllRealizationsOnOneShardStarvesTheRest) {
   const topology::Topology topo = topology::figure6_topology();
   ChurnParams base;
@@ -261,9 +264,9 @@ TEST(ShardedAdmission, AllRealizationsOnOneShardStarvesTheRest) {
 }
 
 // Adversarial partition: realizations not divisible by the shard count, so
-// the round-robin wraps and some shards carry two sub-windows per window
-// while others carry one. The staggered completion order must still merge
-// into the 1-shard decisions.
+// some threads assess two realizations per window while others assess one.
+// The staggered completion order must still merge into the 1-shard
+// decisions.
 TEST(ShardedAdmission, NonDivisibleRoundRobinWrap) {
   const topology::Topology topo = topology::figure6_topology();
   ChurnParams base;
@@ -275,8 +278,8 @@ TEST(ShardedAdmission, NonDivisibleRoundRobinWrap) {
   EXPECT_EQ(sharded_churn(topo, wrapped), reference);
 }
 
-// One 32-admit burst window: every realization fans out simultaneously, all
-// shards are busy at once, and the joint approval's cross-request coupling
+// One 32-admit burst window: every realization fans out simultaneously, the
+// whole width is busy at once, and the joint approval's cross-request coupling
 // (later admits see earlier ones' placements within the window) must be
 // preserved by the merge at every shard count.
 TEST(ShardedAdmission, BurstWindowEquivalence) {
@@ -322,7 +325,7 @@ TEST(ShardedAdmission, BurstWindowEquivalence) {
 // destructor. Every submitted request's future must resolve (processed or
 // failed-at-shutdown), no contract id may be handed out twice, and the
 // committed state must still equal its from-scratch rebuild — i.e. nothing
-// was dropped or double-committed by the teardown racing the shard workers.
+// was dropped or double-committed by the teardown racing the pool workers.
 TEST(ShardedAdmission, ShutdownUnderLoadDropsAndDuplicatesNothing) {
   const topology::Topology topo = topology::figure6_topology();
   AdmissionConfig config;
@@ -390,6 +393,36 @@ TEST(ShardedAdmission, ShutdownUnderLoadDropsAndDuplicatesNothing) {
   for (const std::uint64_t id : db_ids) {
     EXPECT_TRUE(std::binary_search(admitted_ids.begin(), admitted_ids.end(), id));
   }
+}
+
+// flush() is a barrier: it returns only once every request submitted before
+// the call has its outcome, including requests the background worker took
+// into its own window first. With no coalescing delay, a short pause before
+// flush() in three rounds of four lets the worker win that race.
+TEST(ShardedAdmission, FlushWaitsForTheWindowTheWorkerTook) {
+  const topology::Topology topo = topology::figure6_topology();
+  AdmissionConfig config;
+  config.approval.realizations = 3;
+  config.approval.slo_availability = 0.995;
+  config.approval.scenarios.max_simultaneous = 1;
+  config.exec.shards = 2;
+  config.seed = 11;
+  config.background = true;
+  config.batch_window_seconds = 0.0;
+  config.attach_counter_proposals = false;
+  AdmissionController controller(topo, config);
+
+  std::size_t not_ready = 0;
+  for (std::uint32_t round = 0; round < 200; ++round) {
+    const std::uint32_t npg = round + 1;
+    auto future = controller.submit(
+        admit_request(npg, hose_pair(npg, QosClass::c2_low, npg % 4, (npg + 2) % 4, 2.0)));
+    std::this_thread::sleep_for(std::chrono::microseconds(50 * (round % 4)));
+    controller.flush();
+    if (future.wait_for(std::chrono::seconds(0)) != std::future_status::ready) ++not_ready;
+    future.wait();
+  }
+  EXPECT_EQ(not_ready, 0u) << "flush() returned before the worker's window finished";
 }
 
 // The resolved shard count is reflected in config(), mirroring the thread

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -136,6 +138,73 @@ TEST(ThreadPool, ManyConcurrentParallelForsFromOwnPools) {
   }
   for (auto& driver : drivers) driver.join();
   EXPECT_EQ(total.load(), 800);
+}
+
+// A loop started from inside a fanned-out body of the same pool runs inline
+// on that thread, so realization x scenario nesting cannot deadlock even
+// when the outer loop occupies every worker, and the nested results match a
+// serial double loop.
+TEST(ThreadPool, NestedParallelForInsideOwnTaskMatchesSerialLoop) {
+  constexpr std::size_t kOuter = 12;
+  constexpr std::size_t kInner = 97;
+  const auto value = [](std::size_t i, std::size_t j) {
+    return static_cast<double>(i * 1000 + j) * 0.5;
+  };
+  std::vector<std::vector<double>> serial(kOuter, std::vector<double>(kInner));
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    for (std::size_t j = 0; j < kInner; ++j) serial[i][j] = value(i, j);
+  }
+
+  ThreadPool pool(3);
+  std::vector<std::vector<double>> nested(kOuter, std::vector<double>(kInner, -1.0));
+  pool.parallel_for(0, kOuter, [&](std::size_t i) {
+    const std::thread::id outer_thread = std::this_thread::get_id();
+    pool.parallel_for(0, kInner, [&](std::size_t j) {
+      EXPECT_EQ(std::this_thread::get_id(), outer_thread);  // inline, no hand-off
+      nested[i][j] = value(i, j);
+    });
+  });
+  EXPECT_EQ(nested, serial);
+
+  // The same from a plain submitted task.
+  std::vector<double> from_task(kInner, -1.0);
+  std::future<void> task = pool.submit(
+      [&] { pool.parallel_for(0, kInner, [&](std::size_t j) { from_task[j] = value(3, j); }); });
+  task.get();
+  EXPECT_EQ(from_task, serial[3]);
+}
+
+// A width-bounded loop never runs more than `width` bodies at once, and a
+// width of 1 never leaves the calling thread.
+TEST(ThreadPool, WidthBoundedLoopNeverExceedsWidth) {
+  ThreadPool pool(4);
+  for (const std::size_t width : {1u, 2u, 3u}) {
+    std::atomic<int> running{0};
+    std::atomic<int> peak{0};
+    std::atomic<int> off_caller{0};
+    const std::thread::id caller = std::this_thread::get_id();
+    pool.parallel_for(
+        0, 64,
+        [&](std::size_t) {
+          const int now = running.fetch_add(1) + 1;
+          int seen = peak.load();
+          while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+          }
+          if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          running.fetch_sub(1);
+        },
+        width);
+    EXPECT_LE(peak.load(), static_cast<int>(width)) << "width " << width;
+    if (width == 1) {
+      EXPECT_EQ(off_caller.load(), 0);
+    }
+  }
+  // Worker slots stay inside [0, width).
+  std::vector<std::atomic<int>> slot_hits(2);
+  pool.parallel_for_with_worker(
+      0, 100, [&](std::size_t worker, std::size_t) { slot_hits.at(worker).fetch_add(1); }, 2);
+  EXPECT_EQ(slot_hits[0].load() + slot_hits[1].load(), 100);
 }
 
 }  // namespace
