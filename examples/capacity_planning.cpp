@@ -66,9 +66,10 @@ int main() {
   topology::Router router(topo, 4);
   approval::NegotiationConfig negotiation_config;
   negotiation_config.min_useful_fraction = 0.3;
-  const approval::NegotiationEngine negotiator(router, config.approval, negotiation_config);
+  const approval::ApprovalEngine engine(router, config.approval);
   Rng probe_rng(2);
-  const auto proposals = negotiator.negotiate(cycle.approvals, probe_rng);
+  const auto proposals =
+      approval::negotiate(engine, negotiation_config, cycle.approvals, probe_rng);
 
   const approval::CounterProposal* worst = nullptr;
   for (const auto& proposal : proposals) {
@@ -82,7 +83,7 @@ int main() {
             << worst->guaranteed.value() << " Gbps at SLO "
             << config.approval.slo_availability << " (residual "
             << worst->residual.value() << " Gbps).\n"
-            << "Automated counter-proposals (approval::NegotiationEngine):\n"
+            << "Automated counter-proposals (approval::negotiate):\n"
             << "  (a) accept the admittable " << worst->guaranteed.value()
             << " Gbps; carry the residual unguaranteed.\n";
   if (!worst->region_options.empty()) {

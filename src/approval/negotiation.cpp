@@ -29,16 +29,13 @@ HoseRequest apply_proposal(const CounterProposal& proposal, const QosAlternative
   return request;
 }
 
-NegotiationEngine::NegotiationEngine(topology::Router& router, ApprovalConfig approval_config,
-                                     NegotiationConfig config)
-    : router_(router), approval_config_(std::move(approval_config)), config_(config) {
-  NETENT_EXPECTS(config_.min_useful_fraction > 0.0 && config_.min_useful_fraction <= 1.0);
-}
+namespace {
 
-Gbps NegotiationEngine::probe(const HoseRequest& request, Rng& rng) const {
-  // Build a well-formed hose set around the probe: the counterpart direction
-  // is spread evenly over the other regions so realizations exist.
-  const std::size_t n = router_.topo().region_count();
+/// What `engine` guarantees `request` when probed inside a well-formed hose
+/// set: the counterpart direction is spread evenly over the other regions
+/// so realizations exist.
+Gbps probe(const ApprovalEngine& engine, const HoseRequest& request, Rng& rng) {
+  const std::size_t n = engine.router().topo().region_count();
   NETENT_EXPECTS(n >= 2);
   std::vector<HoseRequest> probe_set{request};
   const Direction counterpart =
@@ -48,13 +45,15 @@ Gbps NegotiationEngine::probe(const HoseRequest& request, Rng& rng) const {
     if (RegionId(r) == request.region) continue;
     probe_set.push_back({request.npg, request.qos, RegionId(r), counterpart, share});
   }
-  const ApprovalEngine engine(router_, approval_config_);
-  const auto results = engine.hose_approval(probe_set, rng);
-  return results.front().approved;
+  return engine.hose_approval(probe_set, rng).front().approved;
 }
 
-std::vector<CounterProposal> NegotiationEngine::negotiate(
-    std::span<const HoseApprovalResult> results, Rng& rng) const {
+}  // namespace
+
+std::vector<CounterProposal> negotiate(const ApprovalEngine& engine,
+                                       const NegotiationConfig& config,
+                                       std::span<const HoseApprovalResult> results, Rng& rng) {
+  NETENT_EXPECTS(config.min_useful_fraction > 0.0 && config.min_useful_fraction <= 1.0);
   std::vector<CounterProposal> proposals;
   proposals.reserve(results.size());
 
@@ -67,23 +66,23 @@ std::vector<CounterProposal> NegotiationEngine::negotiate(
       proposals.push_back(std::move(proposal));
       continue;
     }
-    const Gbps useful = proposal.residual * config_.min_useful_fraction;
+    const Gbps useful = proposal.residual * config.min_useful_fraction;
 
     // Option (b): alternative regions for the residual.
-    for (std::uint32_t r = 0; r < router_.topo().region_count(); ++r) {
+    for (std::uint32_t r = 0; r < engine.router().topo().region_count(); ++r) {
       if (RegionId(r) == result.request.region) continue;
       HoseRequest moved = result.request;
       moved.region = RegionId(r);
       moved.rate = proposal.residual;
-      const Gbps guaranteed = probe(moved, rng);
+      const Gbps guaranteed = probe(engine, moved, rng);
       if (guaranteed >= useful) proposal.region_options.push_back({RegionId(r), guaranteed});
     }
     std::sort(proposal.region_options.begin(), proposal.region_options.end(),
               [](const RegionAlternative& a, const RegionAlternative& b) {
                 return a.guaranteed > b.guaranteed;
               });
-    if (proposal.region_options.size() > config_.max_region_options) {
-      proposal.region_options.resize(config_.max_region_options);
+    if (proposal.region_options.size() > config.max_region_options) {
+      proposal.region_options.resize(config.max_region_options);
     }
 
     // Option (c): lower QoS classes for the residual. Lower classes compete
@@ -94,15 +93,15 @@ std::vector<CounterProposal> NegotiationEngine::negotiate(
       HoseRequest demoted = result.request;
       demoted.qos = qos;
       demoted.rate = proposal.residual;
-      const Gbps guaranteed = probe(demoted, rng);
+      const Gbps guaranteed = probe(engine, demoted, rng);
       if (guaranteed >= useful) proposal.qos_options.push_back({qos, guaranteed});
     }
     std::sort(proposal.qos_options.begin(), proposal.qos_options.end(),
               [](const QosAlternative& a, const QosAlternative& b) {
                 return a.guaranteed > b.guaranteed;
               });
-    if (proposal.qos_options.size() > config_.max_qos_options) {
-      proposal.qos_options.resize(config_.max_qos_options);
+    if (proposal.qos_options.size() > config.max_qos_options) {
+      proposal.qos_options.resize(config.max_qos_options);
     }
 
     proposals.push_back(std::move(proposal));

@@ -4,8 +4,8 @@
 // counter-proposals:
 //   (a) accept the admittable volume (partial approval, rest unguaranteed);
 //   (b) move the residual demand to alternative regions where capacity and
-//       failure exposure allow a guarantee (probed through the approval
-//       engine);
+//       failure exposure allow a guarantee (probed through the caller's
+//       approval engine);
 //   (c) keep the volume but demote the residual to a lower QoS class that
 //       still passes the SLO check.
 #pragma once
@@ -63,23 +63,14 @@ struct NegotiationConfig {
   std::size_t max_qos_options = 2;
 };
 
-class NegotiationEngine {
- public:
-  NegotiationEngine(topology::Router& router, ApprovalConfig approval_config,
-                    NegotiationConfig config);
-
-  /// Generates a counter-proposal for every input approval result (fully
-  /// approved requests get a trivial proposal with no residual). The probes
-  /// run against the same topology and SLO as the original approval.
-  [[nodiscard]] std::vector<CounterProposal> negotiate(
-      std::span<const HoseApprovalResult> results, Rng& rng) const;
-
- private:
-  [[nodiscard]] Gbps probe(const hose::HoseRequest& request, Rng& rng) const;
-
-  topology::Router& router_;
-  ApprovalConfig approval_config_;
-  NegotiationConfig config_;
-};
+/// Generates a counter-proposal for every input approval result (fully
+/// approved requests get a trivial proposal with no residual). Every probe
+/// is one hose_approval on `engine`, so the alternatives are assessed
+/// against the same topology, failure scenarios, SLO and fast tier as the
+/// original approval. The probes draw their realizations from `rng`.
+[[nodiscard]] std::vector<CounterProposal> negotiate(const ApprovalEngine& engine,
+                                                     const NegotiationConfig& config,
+                                                     std::span<const HoseApprovalResult> results,
+                                                     Rng& rng);
 
 }  // namespace netent::approval

@@ -71,4 +71,4 @@
 
 // Operations: failure drills and the online admission service.
 #include "service/admission.h"
-#include "sim/drill.h"
+#include "sim/drill_engine.h"

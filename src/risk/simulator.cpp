@@ -239,19 +239,26 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
     }
   }
 
-  // Merge back in scenario order: the outcome sequence each curve sees is
-  // exactly the serial sweep's, so curves are bit-identical per thread count.
-  std::vector<std::vector<std::pair<double, double>>> outcomes(pipes.size());
-  for (auto& pipe_outcomes : outcomes) pipe_outcomes.reserve(scenarios_.size());
-  for (std::size_t s = 0; s < scenarios_.size(); ++s) {
-    for (std::size_t i = 0; i < pipes.size(); ++i) {
-      outcomes[i].emplace_back(placed[s][i], scenarios_[s].probability);
+  return curves_from_placements(placed, scenarios_);
+}
+
+std::vector<AvailabilityCurve> curves_from_placements(std::span<const std::vector<double>> placed,
+                                                      std::span<const FailureScenario> scenarios) {
+  NETENT_EXPECTS(!placed.empty() && placed.size() == scenarios.size());
+  // The outcome sequence each curve sees is the serial sweep's, whatever
+  // order the scenarios were placed in.
+  const std::size_t demand_count = placed.front().size();
+  std::vector<std::vector<std::pair<double, double>>> outcomes(demand_count);
+  for (auto& per_demand : outcomes) per_demand.reserve(scenarios.size());
+  for (std::size_t s = 0; s < scenarios.size(); ++s) {
+    NETENT_EXPECTS(placed[s].size() == demand_count);
+    for (std::size_t i = 0; i < demand_count; ++i) {
+      outcomes[i].emplace_back(placed[s][i], scenarios[s].probability);
     }
   }
-
   std::vector<AvailabilityCurve> curves;
-  curves.reserve(pipes.size());
-  for (auto& pipe_outcomes : outcomes) curves.emplace_back(std::move(pipe_outcomes));
+  curves.reserve(demand_count);
+  for (auto& per_demand : outcomes) curves.emplace_back(std::move(per_demand));
   return curves;
 }
 

@@ -112,6 +112,13 @@ class ScenarioCapacityScratch {
     std::span<const FailureScenario> scenarios, std::size_t num_threads, SweepMode mode,
     obs::Histogram* scenario_timer = nullptr, std::size_t timer_stride = 1);
 
+/// Merges per-scenario placements (`placed[s][i]`: Gbps demand i got under
+/// scenario s) into one availability curve per demand, folding scenarios in
+/// ascending order. Every sweep over a scenario set builds its curves here,
+/// so curves from equal placements are bit-identical whoever swept them.
+[[nodiscard]] std::vector<AvailabilityCurve> curves_from_placements(
+    std::span<const std::vector<double>> placed, std::span<const FailureScenario> scenarios);
+
 class RiskSimulator {
  public:
   /// `base_capacity_gbps` is the per-link capacity available to the batch

@@ -74,8 +74,8 @@ ServiceMetrics& metrics() {
   return instance;
 }
 
-/// The approval config the engine/negotiator are built with: the service's
-/// resolved thread count pinned into the unified exec knob.
+/// The approval config the engine is built with: the service's resolved
+/// thread count pinned into the unified exec knob.
 approval::ApprovalConfig with_threads(approval::ApprovalConfig config, std::size_t threads) {
   config.exec.threads = threads;
   return config;
@@ -101,11 +101,12 @@ AdmissionController::AdmissionController(const topology::Topology& topo, Admissi
                 ? std::make_unique<ThreadPool>(std::max(threads_, shards_) - 1)
                 : nullptr),
       engine_(router_, with_threads(config_.approval, threads_)),
-      negotiator_(router_, with_threads(config_.approval, threads_), config_.negotiation),
       base_capacity_(router_.full_capacities()),  // view into router_; outlived by it
       rng_(config_.seed) {
   NETENT_EXPECTS(config_.batch_window_seconds >= 0.0);
   NETENT_EXPECTS(config_.admit_min_fraction >= 0.0 && config_.admit_min_fraction <= 1.0);
+  NETENT_EXPECTS(config_.negotiation.min_useful_fraction > 0.0 &&
+                 config_.negotiation.min_useful_fraction <= 1.0);
   config_.approval.exec.threads = threads_;  // config() reflects the resolution
   config_.exec.shards = shards_;
   tracks_.resize(config_.approval.realizations);
@@ -612,11 +613,13 @@ std::vector<AdmissionOutcome> AdmissionController::evaluate_window(std::vector<P
       outcome.status = AdmissionStatus::rejected;
       outcome.contract = entry.is_resize ? entry.id : 0;
       if (config_.attach_counter_proposals) {
-        // Negotiation probes draw their own realizations; a window-derived
+        // Negotiation probes run on engine_ (pristine base capacities, not
+        // the residuals) and draw their own realizations; a window-derived
         // stream keeps the admission RNG (and so request outcomes)
         // independent of whether proposals are enabled.
         Rng nego_rng(config_.seed ^ (0x9e3779b97f4a7c15ULL + window_seq_));
-        outcome.proposals = negotiator_.negotiate(slice, nego_rng);
+        outcome.proposals =
+            approval::negotiate(engine_, config_.negotiation, slice, nego_rng);
         m.counter_proposals.add(outcome.proposals.size());
       }
     }
@@ -1027,19 +1030,9 @@ std::vector<risk::AvailabilityCurve> AdmissionController::curves_against_residua
       placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
     });
   }
-  // Scenario-order merge — the same construction availability_curves uses,
-  // so curves over pristine residuals are bit-identical to the simulator's.
-  std::vector<std::vector<std::pair<double, double>>> outcomes(demands.size());
-  for (auto& per_demand : outcomes) per_demand.reserve(scenario_count);
-  for (std::size_t s = 0; s < scenario_count; ++s) {
-    for (std::size_t i = 0; i < demands.size(); ++i) {
-      outcomes[i].emplace_back(placed[s][i], scenarios[s].probability);
-    }
-  }
-  std::vector<risk::AvailabilityCurve> curves;
-  curves.reserve(demands.size());
-  for (auto& per_demand : outcomes) curves.emplace_back(std::move(per_demand));
-  return curves;
+  // The simulator's merge, so curves over pristine residuals are
+  // bit-identical to its own.
+  return risk::curves_from_placements(placed, scenarios);
 }
 
 void AdmissionController::place_demand(const Demand& demand,

@@ -8,10 +8,13 @@
 // approval::ApprovalEngine (scenario set + SRLG index + risk simulator)
 // kept alive across requests. Requests arriving within a batching window
 // are coalesced into ONE joint approval: the window's hoses are
-// concatenated in submission order and assessed through
-// ApprovalEngine::hose_approval_with, so a window evaluated against an
-// empty service is bit-identical to a single hose_approval call on the same
-// set (pinned in tests/test_admission.cpp).
+// concatenated in submission order and assessed as hose_approval does —
+// ApprovalEngine::draw_realizations, a per-realization pipe_approval_with
+// against the residual state, aggregate_realizations — so a window
+// evaluated against an empty service is bit-identical to a single
+// hose_approval call on the same set (pinned in tests/test_admission.cpp).
+// Counter-proposals for rejections probe the same engine
+// (approval::negotiate).
 //
 // Incrementality. Instead of re-approving the whole admitted set per
 // request, the controller maintains RESIDUAL capacity state: for every
@@ -314,11 +317,8 @@ class AdmissionController {
     std::chrono::steady_clock::time_point enqueued;
   };
 
-  /// One fast-admitted realization queued for the deferred exact audit: the
-  /// placement-ordered demands, the bounds claimed for them, and a snapshot
-  /// of the per-scenario residuals the bounds were computed against (copied
-  /// at decision time, since the live state advances with every commit).
-  /// A fast-admitted window queued for its deferred exact replay. The
+  /// A fast-admitted realization queued for its deferred exact replay: the
+  /// placement-ordered demands and the bounds claimed for them. The
   /// replay's water-fill only ever reads links on the demands' candidate
   /// paths, so the decision-time residual snapshot covers exactly those
   /// `links` — O(scenarios x touched links) gathered on the admission hot
@@ -409,7 +409,6 @@ class AdmissionController {
   /// are both 1.
   std::unique_ptr<ThreadPool> pool_;
   approval::ApprovalEngine engine_;
-  approval::NegotiationEngine negotiator_;
   /// View of router_'s intact capacity array (router_ outlives it).
   std::span<const double> base_capacity_;
 

@@ -4,13 +4,14 @@
 // classifiers + priority-queue switch), and an ACL stage that drops a
 // scheduled, increasing percentage of non-conforming traffic to mimic
 // congestion. Network-level (Figures 11-14) and application-level
-// (Figures 15-17) metrics are collected every tick.
+// (Figures 15-17) metrics are collected every tick. This header holds the
+// drill's configuration and per-tick record; sim::DrillEngine
+// (sim/drill_engine.h) runs it.
 #pragma once
 
 #include <vector>
 
 #include "common/exec_config.h"
-#include "common/rng.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "enforce/marker.h"
@@ -147,22 +148,6 @@ struct DrillTick {
   double read_latency_ms = 0.0;
   double write_latency_ms = 0.0;
   double block_error_rate = 0.0;  ///< failed write blocks / attempted
-};
-
-/// Facade over the event-driven DrillEngine (sim/drill_engine.h), kept for
-/// the historical lockstep-era call sites: construct, run(), collect ticks.
-class DrillSim {
- public:
-  DrillSim(DrillConfig config, Rng rng);
-
-  /// Runs the whole drill; one DrillTick per tick.
-  [[nodiscard]] std::vector<DrillTick> run();
-
-  [[nodiscard]] const DrillConfig& config() const { return config_; }
-
- private:
-  DrillConfig config_;
-  Rng rng_;
 };
 
 }  // namespace netent::sim

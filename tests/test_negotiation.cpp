@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/check.h"
 #include "topology/generator.h"
 
@@ -38,11 +41,11 @@ ApprovalConfig relaxed_config() {
 TEST(Negotiation, FullyApprovedGetsTrivialProposal) {
   const Topology topo = asymmetric_topo();
   Router router(topo, 3);
-  const NegotiationEngine engine(router, relaxed_config(), NegotiationConfig{});
+  const ApprovalEngine engine(router, relaxed_config());
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(0), Direction::egress, Gbps(40)}, Gbps(40)}};
   Rng rng(1);
-  const auto proposals = engine.negotiate(results, rng);
+  const auto proposals = negotiate(engine, NegotiationConfig{}, results, rng);
   ASSERT_EQ(proposals.size(), 1u);
   EXPECT_TRUE(proposals[0].fully_approved());
   EXPECT_TRUE(proposals[0].region_options.empty());
@@ -52,12 +55,12 @@ TEST(Negotiation, FullyApprovedGetsTrivialProposal) {
 TEST(Negotiation, UnderApprovalProducesResidualAndOptions) {
   const Topology topo = asymmetric_topo();
   Router router(topo, 3);
-  const NegotiationEngine engine(router, relaxed_config(), NegotiationConfig{});
+  const ApprovalEngine engine(router, relaxed_config());
   // Requested 400 egress at region b; only 300 approved.
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(300)}};
   Rng rng(2);
-  const auto proposals = engine.negotiate(results, rng);
+  const auto proposals = negotiate(engine, NegotiationConfig{}, results, rng);
   ASSERT_EQ(proposals.size(), 1u);
   const CounterProposal& proposal = proposals[0];
   EXPECT_FALSE(proposal.fully_approved());
@@ -71,11 +74,11 @@ TEST(Negotiation, UnderApprovalProducesResidualAndOptions) {
 TEST(Negotiation, RegionOptionsSortedByGuarantee) {
   const Topology topo = asymmetric_topo();
   Router router(topo, 3);
-  const NegotiationEngine engine(router, relaxed_config(), NegotiationConfig{});
+  const ApprovalEngine engine(router, relaxed_config());
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(600)}, Gbps(200)}};
   Rng rng(3);
-  const auto proposals = engine.negotiate(results, rng);
+  const auto proposals = negotiate(engine, NegotiationConfig{}, results, rng);
   const auto& options = proposals[0].region_options;
   for (std::size_t i = 1; i < options.size(); ++i) {
     EXPECT_GE(options[i - 1].guaranteed.value(), options[i].guaranteed.value());
@@ -87,11 +90,11 @@ TEST(Negotiation, QosOptionsOnlyLowerClasses) {
   Router router(topo, 3);
   NegotiationConfig config;
   config.min_useful_fraction = 0.1;
-  const NegotiationEngine engine(router, relaxed_config(), config);
+  const ApprovalEngine engine(router, relaxed_config());
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c2_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(250)}};
   Rng rng(4);
-  const auto proposals = engine.negotiate(results, rng);
+  const auto proposals = negotiate(engine, config, results, rng);
   for (const QosAlternative& option : proposals[0].qos_options) {
     EXPECT_TRUE(higher_priority(QosClass::c2_low, option.qos))
         << "counter-proposal must demote, not promote";
@@ -103,11 +106,11 @@ TEST(Negotiation, MinUsefulFractionFiltersWeakOptions) {
   Router router(topo, 3);
   NegotiationConfig strict;
   strict.min_useful_fraction = 0.999;  // only near-complete alternatives
-  const NegotiationEngine engine(router, relaxed_config(), strict);
+  const ApprovalEngine engine(router, relaxed_config());
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(2000)}, Gbps(500)}};
   Rng rng(5);
-  const auto proposals = engine.negotiate(results, rng);
+  const auto proposals = negotiate(engine, strict, results, rng);
   // Residual 1500 cannot be fully guaranteed anywhere on this topology.
   EXPECT_TRUE(proposals[0].region_options.empty());
 }
@@ -118,12 +121,93 @@ TEST(Negotiation, OptionCountsCapped) {
   NegotiationConfig config;
   config.max_region_options = 1;
   config.min_useful_fraction = 0.1;
-  const NegotiationEngine engine(router, relaxed_config(), config);
+  const ApprovalEngine engine(router, relaxed_config());
   const std::vector<HoseApprovalResult> results{
       {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(200)}};
   Rng rng(6);
-  const auto proposals = engine.negotiate(results, rng);
+  const auto proposals = negotiate(engine, config, results, rng);
   EXPECT_LE(proposals[0].region_options.size(), 1u);
+}
+
+std::uint64_t fnv1a(std::uint64_t hash, std::uint64_t word) {
+  for (int byte = 0; byte < 8; ++byte) {
+    hash ^= (word >> (8 * byte)) & 0xFF;
+    hash *= 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+std::uint64_t hash_request(std::uint64_t hash, const HoseRequest& request) {
+  hash = fnv1a(hash, request.npg.value());
+  hash = fnv1a(hash, static_cast<std::uint64_t>(request.qos));
+  hash = fnv1a(hash, request.region.value());
+  hash = fnv1a(hash, static_cast<std::uint64_t>(request.direction));
+  return fnv1a(hash, std::bit_cast<std::uint64_t>(request.rate.value()));
+}
+
+/// FNV-1a over every field of every proposal, options in returned order.
+std::uint64_t hash_proposals(const std::vector<CounterProposal>& proposals) {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+  for (const CounterProposal& p : proposals) {
+    hash = hash_request(hash, p.original);
+    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(p.guaranteed.value()));
+    hash = fnv1a(hash, std::bit_cast<std::uint64_t>(p.residual.value()));
+    hash = fnv1a(hash, p.region_options.size());
+    for (const RegionAlternative& option : p.region_options) {
+      hash = fnv1a(hash, option.region.value());
+      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(option.guaranteed.value()));
+    }
+    hash = fnv1a(hash, p.qos_options.size());
+    for (const QosAlternative& option : p.qos_options) {
+      hash = fnv1a(hash, static_cast<std::uint64_t>(option.qos));
+      hash = fnv1a(hash, std::bit_cast<std::uint64_t>(option.guaranteed.value()));
+    }
+  }
+  return hash;
+}
+
+/// A mixed batch on the asymmetric fixture: one fully approved hose, egress
+/// and ingress shortfalls, and shortfalls at premium and low classes.
+std::vector<HoseApprovalResult> mixed_results() {
+  return {
+      {{NpgId(1), QosClass::c1_low, RegionId(0), Direction::egress, Gbps(40)}, Gbps(40)},
+      {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(300)},
+      {{NpgId(2), QosClass::c2_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(250)},
+      {{NpgId(3), QosClass::c1_low, RegionId(2), Direction::ingress, Gbps(600)}, Gbps(200)},
+      {{NpgId(4), QosClass::c4_high, RegionId(0), Direction::ingress, Gbps(900)}, Gbps(0)},
+  };
+}
+
+std::uint64_t pinned_proposals_hash(bool fastpath) {
+  const Topology topo = asymmetric_topo();
+  Router router(topo, 3);
+  ApprovalConfig approval = relaxed_config();
+  approval.fastpath.enabled = fastpath;
+  NegotiationConfig config;
+  config.min_useful_fraction = 0.1;
+  const ApprovalEngine engine(router, approval);
+  Rng rng(11);
+  const std::vector<CounterProposal> proposals = negotiate(engine, config, mixed_results(), rng);
+  std::size_t region_options = 0;
+  std::size_t qos_options = 0;
+  for (const CounterProposal& p : proposals) {
+    region_options += p.region_options.size();
+    qos_options += p.qos_options.size();
+  }
+  EXPECT_GT(region_options, 0u);
+  EXPECT_GT(qos_options, 0u);
+  return hash_proposals(proposals);
+}
+
+// Pinned before negotiation moved onto a caller-owned ApprovalEngine: every
+// proposal field must stay bit-identical on this fixture, exact-only and
+// with the fast tier on.
+TEST(Negotiation, ProposalsMatchPinnedFingerprintExactOnly) {
+  EXPECT_EQ(pinned_proposals_hash(false), 1657705824329442337ULL);
+}
+
+TEST(Negotiation, ProposalsMatchPinnedFingerprintWithFastPath) {
+  EXPECT_EQ(pinned_proposals_hash(true), 1657705824329442337ULL);
 }
 
 TEST(Negotiation, InvalidConfigRejected) {
@@ -131,7 +215,11 @@ TEST(Negotiation, InvalidConfigRejected) {
   Router router(topo, 3);
   NegotiationConfig bad;
   bad.min_useful_fraction = 0.0;
-  EXPECT_THROW(NegotiationEngine(router, relaxed_config(), bad), ContractViolation);
+  const ApprovalEngine engine(router, relaxed_config());
+  const std::vector<HoseApprovalResult> results{
+      {{NpgId(1), QosClass::c1_low, RegionId(1), Direction::egress, Gbps(400)}, Gbps(200)}};
+  Rng rng(7);
+  EXPECT_THROW((void)negotiate(engine, bad, results, rng), ContractViolation);
 }
 
 }  // namespace

@@ -75,6 +75,16 @@ TEST(TenantFleet, DecisionTranscriptIsIdenticalAcrossThreadsAndShards) {
   }
 }
 
+// Pinned before counter-proposal probes moved onto the controller's own
+// ApprovalEngine: resubmits follow the proposals, so the transcript covers
+// them.
+TEST(TenantFleet, DecisionTranscriptMatchesPinnedFingerprint) {
+  const topology::Topology topo = fleet_backbone();
+  const FleetReport report = run_fleet(topo, small_fleet(topo.region_count()), 1, 1);
+  EXPECT_GT(report.resubmits, 0u);
+  EXPECT_EQ(report.transcript_fingerprint, 12694523385320124913ULL);
+}
+
 TEST(TenantFleet, AllNegotiationStrategiesAreExercised) {
   const topology::Topology topo = fleet_backbone();
   const FleetReport report = run_fleet(topo, small_fleet(topo.region_count()), 2, 2);

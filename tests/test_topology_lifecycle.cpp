@@ -27,10 +27,13 @@
 #include <functional>
 #include <future>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "approval/approval.h"
+#include "approval/negotiation.h"
 #include "common/rng.h"
 #include "core/contract_db.h"
 #include "obs/metrics.h"
@@ -429,6 +432,82 @@ TEST(TopologyLifecycle, TopologyWindowRequiresMutableTopologyAndValidBatch) {
   EXPECT_EQ(applied.status, AdmissionStatus::topology_applied);
   EXPECT_EQ(topo.epoch(), before + 1);
   EXPECT_EQ(topo.link(LinkId(0)).capacity.value(), 500.0);
+}
+
+// --- counter-proposals after a topology window ---------------------------
+
+/// Every field of every proposal at full precision, options in order.
+std::string describe(const std::vector<approval::CounterProposal>& proposals) {
+  std::ostringstream out;
+  out.precision(17);
+  for (const approval::CounterProposal& p : proposals) {
+    out << p.original.npg.value() << ',' << static_cast<int>(p.original.qos) << ','
+        << p.original.region.value() << ',' << static_cast<int>(p.original.direction) << ','
+        << p.original.rate.value() << " -> " << p.guaranteed.value() << " + "
+        << p.residual.value() << " | regions";
+    for (const approval::RegionAlternative& option : p.region_options) {
+      out << ' ' << option.region.value() << ':' << option.guaranteed.value();
+    }
+    out << " | qos";
+    for (const approval::QosAlternative& option : p.qos_options) {
+      out << ' ' << static_cast<int>(option.qos) << ':' << option.guaranteed.value();
+    }
+    out << '\n';
+  }
+  return out.str();
+}
+
+/// The proposals an approval engine built fresh on `topo` makes for
+/// `approvals`, probing with the stream the controller derives for window
+/// `window_seq` (seed ^ (0x9e3779b97f4a7c15 + window sequence number)).
+std::vector<approval::CounterProposal> fresh_engine_proposals(
+    const Topology& topo, const AdmissionConfig& config,
+    std::span<const approval::HoseApprovalResult> approvals, std::uint64_t window_seq) {
+  Router router(topo, config.router_paths);
+  const approval::ApprovalEngine engine(router, config.approval);
+  Rng rng(config.seed ^ (0x9e3779b97f4a7c15ULL + window_seq));
+  return approval::negotiate(engine, config.negotiation, approvals, rng);
+}
+
+// A rejection after a topology window is negotiated on the controller's own
+// approval engine, which that window resynced: its proposals equal those of
+// an engine built fresh on the mutated topology, and differ from those of
+// one built on the topology before the window.
+TEST(TopologyLifecycle, CounterProposalsAfterTopologyWindowMatchFreshEngine) {
+  for (const bool fastpath : {false, true}) {
+    const std::string label = fastpath ? "fastpath" : "exact";
+    Topology topo = seed_topology();
+    const Topology before = topo;
+    AdmissionConfig config = lifecycle_config(1, 1, fastpath);
+    config.attach_counter_proposals = true;
+    config.admit_min_fraction = 1.0;  // shortfalls become rejections
+    AdmissionController controller(topo, config);
+
+    // Window 1: retire the 0-3 chord and drain region 5.
+    Mutation retire;
+    retire.kind = MutationKind::retire_fiber;
+    retire.link = LinkId(16);
+    Mutation drain;
+    drain.kind = MutationKind::drain_region;
+    drain.region_a = RegionId(5);
+    const AdmissionOutcome applied = controller.apply_topology_delta({retire, drain});
+    ASSERT_EQ(applied.status, AdmissionStatus::topology_applied) << label;
+
+    // Window 2: an admit the mutated backbone cannot carry in full.
+    const AdmissionOutcome rejected = controller.admit(NpgId(1), "big", hose_pair(1, 0, 3, 400.0));
+    ASSERT_EQ(rejected.status, AdmissionStatus::rejected) << label;
+    ASSERT_FALSE(rejected.proposals.empty()) << label;
+    const std::string got = describe(rejected.proposals);
+    EXPECT_NE(got.find("| regions "), std::string::npos) << label << ": no region option\n"
+                                                          << got;
+
+    EXPECT_EQ(got, describe(fresh_engine_proposals(topo, controller.config(),
+                                                   rejected.approvals, 2)))
+        << label;
+    EXPECT_NE(got, describe(fresh_engine_proposals(before, controller.config(),
+                                                   rejected.approvals, 2)))
+        << label << ": the topology window did not change the proposals";
+  }
 }
 
 // --- the torture ---------------------------------------------------------
