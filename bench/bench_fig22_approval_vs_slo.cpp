@@ -129,16 +129,16 @@ int main(int argc, char** argv) {
   const std::span<const double> base_capacity = sweep_router.full_capacities();
   const topology::SrlgIndex srlg_index(sweep_topo);
 
-  const auto sweep_ms = [&](std::size_t threads, risk::SweepMode mode,
+  const auto sweep_ms = [&](const Executor& lent, risk::SweepMode mode,
                             std::vector<std::vector<double>>& out) {
     const auto start = std::chrono::steady_clock::now();
     out = risk::sweep_scenario_placements(sweep_router, demands, base_capacity, srlg_index,
-                                          scenarios, threads, mode);
+                                          scenarios, lent, mode);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(elapsed).count();
   };
   std::vector<std::vector<double>> reference_placed;
-  const double full_serial_ms = sweep_ms(1, risk::SweepMode::kFull, reference_placed);
+  const double full_serial_ms = sweep_ms({}, risk::SweepMode::kFull, reference_placed);
 
   const auto identical_to_reference = [&](const std::vector<std::vector<double>>& placed) {
     bool identical = placed.size() == reference_placed.size();
@@ -157,7 +157,7 @@ int main(int argc, char** argv) {
   const std::uint64_t shorted_before =
       reg.counter("risk.replay.scenarios_short_circuited").value();
   std::vector<std::vector<double>> incremental_placed;
-  const double incr_serial_ms = sweep_ms(1, risk::SweepMode::kIncremental, incremental_placed);
+  const double incr_serial_ms = sweep_ms({}, risk::SweepMode::kIncremental, incremental_placed);
   const std::uint64_t replayed = reg.counter("risk.replay.demands_replayed").value() -
                                  replayed_before;
   const std::uint64_t skipped = reg.counter("risk.replay.demands_skipped").value() -
@@ -189,13 +189,15 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> counts{2, 4};
   const std::size_t hw = exec.resolve();
   if (hw > 4) counts.push_back(hw);
+  // One pool for every row, lent at the row's width.
+  ThreadPool pool(counts.back() - 1);
   bool all_identical = incr_serial_identical;
   double full_parallel_ms = full_serial_ms;
   double incr_parallel_ms = incr_serial_ms;
   for (const std::size_t threads : counts) {
     for (const risk::SweepMode mode : {risk::SweepMode::kFull, risk::SweepMode::kIncremental}) {
       std::vector<std::vector<double>> placed;
-      const double ms = sweep_ms(threads, mode, placed);
+      const double ms = sweep_ms({&pool, threads}, mode, placed);
       const bool identical = identical_to_reference(placed);
       all_identical = all_identical && identical;
       const bool incremental = mode == risk::SweepMode::kIncremental;

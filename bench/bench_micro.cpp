@@ -245,7 +245,7 @@ void BM_RiskScenarioBatch(benchmark::State& state) {
     pipes.push_back({RegionId(0), RegionId(r), Gbps(50)});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.availability_curves(pipes, 1));
+    benchmark::DoNotOptimize(sim.availability_curves(pipes));
   }
   state.counters["scenarios"] = static_cast<double>(scenarios.size());
 }
@@ -267,8 +267,9 @@ void BM_RiskScenarioBatchParallel(benchmark::State& state) {
     pipes.push_back({RegionId(0), RegionId(r), Gbps(50)});
   }
   const auto threads = static_cast<std::size_t>(state.range(0));
+  ThreadPool pool(threads - 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(sim.availability_curves(pipes, threads));
+    benchmark::DoNotOptimize(sim.availability_curves(pipes, {&pool, threads}));
   }
   state.counters["scenarios"] = static_cast<double>(scenarios.size());
   state.counters["threads"] = static_cast<double>(threads);

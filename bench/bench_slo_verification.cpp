@@ -86,15 +86,15 @@ int main(int argc, char** argv) {
   const auto timing_scenarios = risk::enumerate_scenarios(topo, timing_config.scenarios);
   const risk::SloVerifier verifier(router, timing_scenarios);
 
-  const auto replay_ms = [&](std::size_t threads, risk::SweepMode mode,
+  const auto replay_ms = [&](const Executor& lent, risk::SweepMode mode,
                              std::vector<risk::PipeAttainment>& out) {
     const auto start = std::chrono::steady_clock::now();
-    out = verifier.verify(approvals, threads, mode);
+    out = verifier.verify(approvals, lent, mode);
     const auto elapsed = std::chrono::steady_clock::now() - start;
     return std::chrono::duration<double, std::milli>(elapsed).count();
   };
   std::vector<risk::PipeAttainment> reference;
-  const double full_serial_ms = replay_ms(1, risk::SweepMode::kFull, reference);
+  const double full_serial_ms = replay_ms({}, risk::SweepMode::kFull, reference);
 
   const auto identical_to_reference = [&](const std::vector<risk::PipeAttainment>& attainments) {
     bool identical = attainments.size() == reference.size();
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
   const std::uint64_t shorted_before =
       reg.counter("risk.replay.scenarios_short_circuited").value();
   std::vector<risk::PipeAttainment> incremental;
-  const double incr_serial_ms = replay_ms(1, risk::SweepMode::kIncremental, incremental);
+  const double incr_serial_ms = replay_ms({}, risk::SweepMode::kIncremental, incremental);
   const std::uint64_t replayed =
       reg.counter("risk.replay.demands_replayed").value() - replayed_before;
   const std::uint64_t skipped =
@@ -139,12 +139,14 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> counts{2, 4};
   const std::size_t hw = exec.resolve();
   if (hw > 4) counts.push_back(hw);
+  // One pool for every row, lent at the row's width.
+  ThreadPool pool(counts.back() - 1);
   double full_parallel_ms = full_serial_ms;
   double incr_parallel_ms = incr_serial_ms;
   for (const std::size_t threads : counts) {
     for (const risk::SweepMode mode : {risk::SweepMode::kFull, risk::SweepMode::kIncremental}) {
       std::vector<risk::PipeAttainment> attainments;
-      const double ms = replay_ms(threads, mode, attainments);
+      const double ms = replay_ms({&pool, threads}, mode, attainments);
       const bool identical = identical_to_reference(attainments);
       all_identical = all_identical && identical;
       const bool is_incremental = mode == risk::SweepMode::kIncremental;

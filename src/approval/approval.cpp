@@ -62,9 +62,10 @@ void count_verdict(Gbps requested, Gbps approved, obs::Counter& full, obs::Count
 }
 }  // namespace
 
-ApprovalEngine::ApprovalEngine(topology::Router& router, ApprovalConfig config)
+ApprovalEngine::ApprovalEngine(topology::Router& router, ApprovalConfig config, Executor exec)
     : router_(router),
       config_(std::move(config)),
+      exec_(exec),
       low_touch_([](NpgId) { return false; }),
       scenarios_(risk::enumerate_scenarios(router.topo(), config_.scenarios)),
       simulator_(router_, scenarios_, router_.full_capacities()) {
@@ -107,7 +108,7 @@ std::vector<PipeApprovalResult> ApprovalEngine::pipe_approval(
   return pipe_approval_with(
       pipes,
       [this](std::span<const Demand> demands) {
-        return simulator_.availability_curves(demands, config_.sweep_threads());
+        return simulator_.availability_curves(demands, exec_);
       },
       fast_.has_value() ? &*fast_ : nullptr);
 }

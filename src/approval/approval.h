@@ -10,7 +10,6 @@
 #include <span>
 #include <vector>
 
-#include "common/exec_config.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "common/types.h"
@@ -34,13 +33,6 @@ struct ApprovalConfig {
   double slo_availability = 0.9998;  ///< contract SLO target
   std::size_t realizations = 16;     ///< representative TMs per hose set
   risk::ScenarioConfig scenarios;
-  /// Execution resources for the risk-scenario sweep. Approvals are
-  /// bit-identical for every thread count; this only changes wall-clock
-  /// time. Unset `exec.threads` means the hardware concurrency.
-  common::ExecConfig exec;
-  /// Effective sweep thread count (`exec.threads`, defaulting to the
-  /// hardware concurrency).
-  [[nodiscard]] std::size_t sweep_threads() const { return exec.resolve(); }
   /// Paper's strict mode: "Only when 100% of the flow meets SLO, the batch
   /// of flows is approved. If any flow fails, the batch is rejected." A
   /// batch is the pipes of one (NPG, QoS class) group. When false, each pipe
@@ -74,7 +66,11 @@ using LowTouchPredicate = std::function<bool(NpgId)>;
 
 class ApprovalEngine {
  public:
-  ApprovalEngine(topology::Router& router, ApprovalConfig config);
+  /// `exec` is the executor the engine's own risk sweeps run on, lent by
+  /// the engine's owner (who must keep the pool alive as long as the
+  /// engine). Approvals are bit-identical for every executor; the default
+  /// sweeps serially on the calling thread.
+  ApprovalEngine(topology::Router& router, ApprovalConfig config, Executor exec = {});
 
   void set_low_touch(LowTouchPredicate predicate) { low_touch_ = std::move(predicate); }
 
@@ -209,6 +205,7 @@ class ApprovalEngine {
  private:
   topology::Router& router_;
   ApprovalConfig config_;
+  Executor exec_;
   LowTouchPredicate low_touch_;
   std::vector<risk::FailureScenario> scenarios_;
   /// One risk simulator (scenario set, SRLG index, base capacities) for the

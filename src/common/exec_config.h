@@ -1,9 +1,9 @@
-// `common::ExecConfig`: the one execution-resources knob shared by every
-// parallel subsystem. Historically each subsystem grew its own thread count
-// (`ApprovalConfig::risk_threads`, `DrillConfig::num_threads`, ad-hoc
-// defaults in the lifecycle and the benches); those aliases are retired —
-// every consumer resolves its effective count through this struct (with a
-// per-consumer default) so one setting drives them all.
+// `common::ExecConfig`: the execution-resources knob of the top-level
+// owners: `service::AdmissionConfig`, `core::ManagerConfig` and
+// `sim::DrillConfig`. Each owner resolves it (with its own default) into
+// one ThreadPool and lends that pool, with a loop width, as an Executor to
+// everything it drives; nothing below an owner builds a pool or has a
+// thread knob of its own.
 //
 // Thread counts never change results anywhere in netent — sweeps merge
 // deterministically — so this knob only trades wall-clock for cores.
@@ -18,9 +18,10 @@
 namespace netent::common {
 
 struct ExecConfig {
-  /// Worker threads for the consumer's parallel sections. Unset (the
-  /// default) falls back to the consumer's documented default (serial for
-  /// the drill's per-host loops, hardware concurrency for risk sweeps).
+  /// Worker threads for the owner's parallel sections. Unset (the
+  /// default) falls back to the owner's documented default (serial for the
+  /// drill's per-host loops, hardware concurrency for the admission plane
+  /// and the entitlement cycle).
   std::optional<std::size_t> threads;
 
   /// Width of the outer fan-out for consumers whose work splits into

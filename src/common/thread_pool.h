@@ -10,8 +10,13 @@
 // out on the same pool (or from any task a worker runs) runs inline on the
 // calling thread. Nested loops therefore cannot deadlock waiting for
 // workers that are all busy with the outer loop.
+//
+// Ownership: only top-level owners build a pool (the admission controller,
+// the entitlement manager, the drill engine). What they drive borrows it
+// as an Executor: the pool plus the width its loops may use.
 #pragma once
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -93,6 +98,31 @@ class ThreadPool {
 
   std::size_t next_queue_ = 0;  ///< round-robin cursor, guarded by submit_mutex_
   std::mutex submit_mutex_;
+};
+
+/// A pool lent by its owner together with the width loops on it may use.
+/// The default (no pool) runs every loop inline on the calling thread.
+struct Executor {
+  ThreadPool* pool = nullptr;
+  std::size_t width = 1;
+
+  /// Number of worker slots for_each hands out: workers lie in [0, slots()).
+  [[nodiscard]] std::size_t slots() const {
+    return pool == nullptr || width <= 1 ? 1 : std::min(width, pool->size() + 1);
+  }
+
+  /// Runs body(worker, i) for every i in [0, count). Without a pool or at
+  /// width 1 this is a plain loop on the calling thread (worker 0, no
+  /// allocation, no hand-off); otherwise pool->parallel_for_with_worker at
+  /// `width`.
+  template <typename Body>
+  void for_each(std::size_t count, Body&& body) const {
+    if (pool == nullptr || width <= 1) {
+      for (std::size_t i = 0; i < count; ++i) body(std::size_t{0}, i);
+      return;
+    }
+    pool->parallel_for_with_worker(0, count, body, width);
+  }
 };
 
 }  // namespace netent

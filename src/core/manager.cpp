@@ -18,14 +18,14 @@ constexpr NpgId kLowTouchAggregate{0xFFFFFFFFu};
 }  // namespace
 
 EntitlementManager::EntitlementManager(const topology::Topology& topo, ManagerConfig config)
-    : topo_(topo), config_(std::move(config)), name_lookup_([](NpgId) { return std::string(); }) {
+    : topo_(topo),
+      config_(std::move(config)),
+      name_lookup_([](NpgId) { return std::string(); }),
+      threads_(config_.exec.resolve()),
+      // The calling thread drains beside the workers.
+      pool_(threads_ > 1 ? std::make_unique<ThreadPool>(threads_ - 1) : nullptr) {
   NETENT_EXPECTS(config_.period.end_seconds > config_.period.start_seconds);
   NETENT_EXPECTS(config_.segments >= 2);
-  // The manager-level exec knob drives the approval sweep unless the caller
-  // pinned approval.exec explicitly.
-  if (!config_.approval.exec.threads.has_value()) {
-    config_.approval.exec.threads = config_.exec.threads;
-  }
 }
 
 bool EntitlementManager::is_high_touch(NpgId npg) const {
@@ -122,7 +122,7 @@ CycleResult EntitlementManager::run_cycle(std::span<const PipeHistory> histories
 
   // ---- Step 3: approval. ------------------------------------------------
   topology::Router router(topo_, config_.router_paths);
-  approval::ApprovalEngine engine(router, config_.approval);
+  approval::ApprovalEngine engine(router, config_.approval, executor());
   if (config_.aggregate_low_touch) {
     engine.set_low_touch([](NpgId npg) { return npg == kLowTouchAggregate; });
   } else {

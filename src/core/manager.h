@@ -12,12 +12,15 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "approval/approval.h"
+#include "common/exec_config.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "core/contract_db.h"
 #include "forecast/sli.h"
 #include "hose/balance.h"
@@ -41,9 +44,10 @@ struct PipeHistory {
 struct ManagerConfig {
   forecast::ForecasterConfig forecaster;
   approval::ApprovalConfig approval;
-  /// Execution resources for the whole cycle. When set, this flows into
-  /// `approval.exec` (unless the caller pinned that explicitly), so one knob
-  /// drives every parallel section the manager touches.
+  /// Execution resources for the whole cycle: the manager builds one pool
+  /// of `exec.threads` (unset: the hardware concurrency) and lends it to
+  /// every approval sweep it runs, and through executor() to callers that
+  /// sweep beside it. Results are bit-identical for every thread count.
   common::ExecConfig exec;
   /// Apply the segmented-hose algorithm to egress hoses before approval.
   bool use_segmented_hose = true;
@@ -86,12 +90,19 @@ class EntitlementManager {
 
   [[nodiscard]] const ManagerConfig& config() const { return config_; }
 
+  /// The cycle's pool at its full width (`exec.threads`); valid for the
+  /// manager's lifetime.
+  [[nodiscard]] Executor executor() const { return {pool_.get(), threads_}; }
+
  private:
   [[nodiscard]] bool is_high_touch(NpgId npg) const;
 
   const topology::Topology& topo_;
   ManagerConfig config_;
   NameLookup name_lookup_;
+  std::size_t threads_ = 1;
+  /// The one pool of every cycle; null when threads_ is 1.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 /// Synthesizes per-pipe daily histories from fleet profiles (substitute for

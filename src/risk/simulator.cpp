@@ -121,7 +121,7 @@ std::span<const double> ScenarioCapacityScratch::apply(const FailureScenario& sc
 std::vector<std::vector<double>> sweep_scenario_placements(
     topology::Router& router, std::span<const topology::Demand> demands,
     std::span<const double> base_capacity, const topology::SrlgIndex& index,
-    std::span<const FailureScenario> scenarios, std::size_t num_threads, SweepMode mode,
+    std::span<const FailureScenario> scenarios, const Executor& exec, SweepMode mode,
     obs::Histogram* scenario_timer, std::size_t timer_stride) {
   NETENT_EXPECTS(!scenarios.empty());
   NETENT_EXPECTS(timer_stride >= 1);
@@ -132,62 +132,50 @@ std::vector<std::vector<double>> sweep_scenario_placements(
   const topology::Router& warmed = router;
   const topology::Router::SweepGuard guard(warmed);
 
-  const std::size_t threads_used =
-      (num_threads <= 1 || scenarios.size() < 2) ? 1 : std::min(num_threads, scenarios.size());
-
+  // Per-worker mutable state (workspaces / capacity scratch) is indexed by
+  // the executor's worker slot, so scenarios racing over *which* index they
+  // claim never share placement state. A loop never hands out more slots
+  // than it has indices.
+  const std::size_t slots = std::min(exec.slots(), scenarios.size());
   ReplayMetrics& m = replay_metrics();
   std::vector<std::vector<double>> placed(scenarios.size());
-  std::function<void(std::size_t, std::size_t)> run_scenario;
-
-  // Per-worker mutable state (workspaces / capacity scratch) is indexed by
-  // the pool's worker slot, so scenarios racing over *which* index they
-  // claim never share placement state.
-  std::optional<topology::ScenarioSweeper> sweeper;
-  std::vector<topology::ScenarioSweeper::Workspace> workspaces;
-  std::vector<std::unique_ptr<ScenarioCapacityScratch>> scratch;
-  std::vector<topology::RouteResult> route_scratch;
 
   if (mode == SweepMode::kIncremental) {
-    sweeper.emplace(warmed, demands, base_capacity);
-    workspaces.resize(threads_used + 1);
+    const topology::ScenarioSweeper sweeper(warmed, demands, base_capacity);
+    std::vector<topology::ScenarioSweeper::Workspace> workspaces(slots);
     m.scenarios_incremental.add(scenarios.size());
-    run_scenario = [&, scenario_timer, timer_stride](std::size_t worker, std::size_t s) {
+    exec.for_each(scenarios.size(), [&](std::size_t worker, std::size_t s) {
       std::optional<obs::ScopedTimer> span;
       if (scenario_timer != nullptr && s % timer_stride == 0) span.emplace(*scenario_timer);
       placed[s].resize(demands.size());
       topology::ScenarioSweeper::ReplayStats stats;
-      sweeper->replay(scenarios[s].down, workspaces[worker], placed[s], &stats);
+      sweeper.replay(scenarios[s].down, workspaces[worker], placed[s], &stats);
       m.demands_replayed.add(stats.demands_replayed);
       m.demands_skipped.add(stats.demands_skipped);
       if (stats.short_circuited) m.scenarios_short_circuited.add();
-    };
-  } else {
-    scratch.reserve(threads_used + 1);
-    for (std::size_t w = 0; w <= threads_used; ++w) {
-      scratch.push_back(std::make_unique<ScenarioCapacityScratch>(index, base_capacity));
-    }
-    route_scratch.resize(threads_used + 1);
-    m.scenarios_full.add(scenarios.size());
-    run_scenario = [&, scenario_timer, timer_stride](std::size_t worker, std::size_t s) {
-      std::optional<obs::ScopedTimer> span;
-      if (scenario_timer != nullptr && s % timer_stride == 0) span.emplace(*scenario_timer);
-      const auto capacity = scratch[worker]->apply(scenarios[s]);
-      // Reuse the worker's RouteResult (and arena residual scratch inside)
-      // so steady-state scenarios never touch the heap beyond the per-
-      // scenario output vector itself.
-      topology::RouteResult& result = route_scratch[worker];
-      warmed.route_warmed_into(demands, capacity, result);
-      NETENT_ENSURES(result.placed_per_demand.size() == demands.size());
-      placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
-    };
+    });
+    return placed;
   }
 
-  if (threads_used == 1) {
-    for (std::size_t s = 0; s < scenarios.size(); ++s) run_scenario(0, s);
-  } else {
-    ThreadPool pool(threads_used);
-    pool.parallel_for_with_worker(0, scenarios.size(), run_scenario);
+  std::vector<std::unique_ptr<ScenarioCapacityScratch>> scratch;
+  scratch.reserve(slots);
+  for (std::size_t w = 0; w < slots; ++w) {
+    scratch.push_back(std::make_unique<ScenarioCapacityScratch>(index, base_capacity));
   }
+  std::vector<topology::RouteResult> route_scratch(slots);
+  m.scenarios_full.add(scenarios.size());
+  exec.for_each(scenarios.size(), [&](std::size_t worker, std::size_t s) {
+    std::optional<obs::ScopedTimer> span;
+    if (scenario_timer != nullptr && s % timer_stride == 0) span.emplace(*scenario_timer);
+    const auto capacity = scratch[worker]->apply(scenarios[s]);
+    // Reuse the worker's RouteResult (and arena residual scratch inside)
+    // so steady-state scenarios never touch the heap beyond the per-
+    // scenario output vector itself.
+    topology::RouteResult& result = route_scratch[worker];
+    warmed.route_warmed_into(demands, capacity, result);
+    NETENT_ENSURES(result.placed_per_demand.size() == demands.size());
+    placed[s].assign(result.placed_per_demand.begin(), result.placed_per_demand.end());
+  });
   return placed;
 }
 
@@ -211,7 +199,7 @@ void RiskSimulator::resync(std::vector<FailureScenario> scenarios,
 }
 
 std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
-    std::span<const topology::Demand> pipes, std::size_t num_threads, SweepMode mode) const {
+    std::span<const topology::Demand> pipes, const Executor& exec, SweepMode mode) const {
   NETENT_EXPECTS(!pipes.empty());
 
   SweepMetrics& m = metrics();
@@ -219,12 +207,11 @@ std::vector<AvailabilityCurve> RiskSimulator::availability_curves(
   m.scenarios_swept.add(scenarios_.size());
   m.pipes_assessed.add(pipes.size());
 
-  const std::size_t threads_used =
-      (num_threads <= 1 || scenarios_.size() < 2) ? 1 : std::min(num_threads, scenarios_.size());
+  const std::size_t threads_used = std::min(exec.slots(), scenarios_.size());
   const double busy_before = m.place_seconds.sum();
   const auto sweep_start = std::chrono::steady_clock::now();
   const auto placed = sweep_scenario_placements(router_, pipes, base_capacity_, index_,
-                                                scenarios_, num_threads, mode, &m.place_seconds,
+                                                scenarios_, exec, mode, &m.place_seconds,
                                                 kPlaceSampleStride);
   if constexpr (obs::kEnabled) {
     const double wall =

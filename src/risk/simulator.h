@@ -4,8 +4,8 @@
 // curve at the contract's SLO target to decide how much of a request can be
 // guaranteed.
 //
-// Scenarios are independent placements, so the sweep fans out over a
-// work-stealing thread pool; per-scenario outcomes are merged back in
+// Scenarios are independent placements, so the sweep fans out over the
+// caller's thread pool; per-scenario outcomes are merged back in
 // scenario order, which makes the curves bit-identical to the serial sweep
 // for every thread count. By default each scenario is replayed
 // INCREMENTALLY (topology::ScenarioSweeper): the SRLG-indexed engine skips
@@ -100,7 +100,7 @@ class ScenarioCapacityScratch {
 
 /// The shared scenario-sweep driver behind RiskSimulator::availability_curves
 /// and SloVerifier::verify: warms `router` for `demands`, guards the path
-/// cache, fans the scenarios out over `num_threads` threads (1 = serial, in
+/// cache, fans the scenarios out on the lent executor (no pool = serial, in
 /// the calling thread) and returns the placed Gbps per [scenario][demand].
 /// Results are bit-identical for every thread count and both sweep modes.
 /// `scenario_timer` (optional) records a wall-clock span for one scenario in
@@ -109,7 +109,7 @@ class ScenarioCapacityScratch {
 [[nodiscard]] std::vector<std::vector<double>> sweep_scenario_placements(
     topology::Router& router, std::span<const topology::Demand> demands,
     std::span<const double> base_capacity, const topology::SrlgIndex& index,
-    std::span<const FailureScenario> scenarios, std::size_t num_threads, SweepMode mode,
+    std::span<const FailureScenario> scenarios, const Executor& exec, SweepMode mode,
     obs::Histogram* scenario_timer = nullptr, std::size_t timer_stride = 1);
 
 /// Merges per-scenario placements (`placed[s][i]`: Gbps demand i got under
@@ -129,13 +129,11 @@ class RiskSimulator {
 
   /// Places the batch under every scenario (links on failed SRLGs get zero
   /// capacity) and returns one availability curve per input pipe. Placement
-  /// order within the batch is the input order. Scenarios are swept in
-  /// parallel over `num_threads` threads (1 = serial, in the calling
-  /// thread); the result is bit-identical for every thread count and sweep
-  /// mode.
+  /// order within the batch is the input order. Scenarios are swept on the
+  /// lent executor (the default runs serially, in the calling thread); the
+  /// result is bit-identical for every executor and sweep mode.
   [[nodiscard]] std::vector<AvailabilityCurve> availability_curves(
-      std::span<const topology::Demand> pipes,
-      std::size_t num_threads = ThreadPool::default_thread_count(),
+      std::span<const topology::Demand> pipes, const Executor& exec = {},
       SweepMode mode = SweepMode::kIncremental) const;
 
   [[nodiscard]] std::span<const FailureScenario> scenarios() const { return scenarios_; }

@@ -39,7 +39,7 @@ SloVerifier::SloVerifier(topology::Router& router, std::vector<FailureScenario> 
 }
 
 std::vector<PipeAttainment> SloVerifier::verify(
-    std::span<const approval::PipeApprovalResult> approvals, std::size_t num_threads,
+    std::span<const approval::PipeApprovalResult> approvals, const Executor& exec,
     SweepMode mode) const {
   // Order pipes as the approval engine placed them: premium classes first,
   // then input order within a class.
@@ -67,8 +67,8 @@ std::vector<PipeAttainment> SloVerifier::verify(
   // Fan the scenario replay out through the shared SRLG-indexed sweep
   // driver (the same codepath the risk simulator uses); the probability
   // masses are then accumulated serially in scenario order, so the
-  // attainments are bit-identical to the serial replay for every thread
-  // count and sweep mode.
+  // attainments are bit-identical to the serial replay for every executor
+  // and sweep mode.
   VerifyMetrics& m = metrics();
   m.verifications.add();
   m.pipes_verified.add(order.size());
@@ -76,7 +76,7 @@ std::vector<PipeAttainment> SloVerifier::verify(
 
   const std::span<const double> base_capacity = router_.full_capacities();
   const auto placed = sweep_scenario_placements(router_, demands, base_capacity, index_,
-                                                scenarios_, num_threads, mode,
+                                                scenarios_, exec, mode,
                                                 &m.replay_seconds, /*timer_stride=*/1);
 
   std::vector<double> admitted_mass(order.size(), 0.0);

@@ -42,14 +42,13 @@ class SloVerifier {
 
   /// Replays every scenario with the approved pipes placed in the approval
   /// order (classes premium-first, then input order). Pipes approved at zero
-  /// are skipped (nothing was promised). The scenario replay fans out over
-  /// `num_threads` threads (1 = serial) through the same SRLG-indexed sweep
-  /// driver the risk simulator uses (incremental by default); attainments
-  /// are merged in scenario order and are bit-identical for every thread
-  /// count and sweep mode.
+  /// are skipped (nothing was promised). The scenario replay fans out on
+  /// the lent executor (the default runs serially) through the same
+  /// SRLG-indexed sweep driver the risk simulator uses (incremental by
+  /// default); attainments are merged in scenario order and are
+  /// bit-identical for every executor and sweep mode.
   [[nodiscard]] std::vector<PipeAttainment> verify(
-      std::span<const approval::PipeApprovalResult> approvals,
-      std::size_t num_threads = ThreadPool::default_thread_count(),
+      std::span<const approval::PipeApprovalResult> approvals, const Executor& exec = {},
       SweepMode mode = SweepMode::kIncremental) const;
 
   /// Aggregates pipe attainments per QoS class.

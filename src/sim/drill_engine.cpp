@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -257,13 +256,8 @@ std::vector<DrillTick> DrillEngine::run() {
   if (drill_threads > 1 && n > 1) {
     pool = std::make_unique<ThreadPool>(std::min(drill_threads, n));
   }
-  const auto for_each_host = [&](const std::function<void(std::size_t)>& body) {
-    if (pool) {
-      pool->parallel_for(0, n, body);
-    } else {
-      for (std::size_t h = 0; h < n; ++h) body(h);
-    }
-  };
+  // Every worker plus the calling thread.
+  const Executor hosts{pool.get(), ThreadPool::kFullWidth};
 
   // --- world sweep ------------------------------------------------------
   std::vector<DrillTick> ticks;
@@ -285,7 +279,7 @@ std::vector<DrillTick> DrillEngine::run() {
     double conf_sent = 0.0;
     double nonconf_sent = 0.0;
     const double flow_rate_divisor = static_cast<double>(config_.flows_per_host);
-    for_each_host([&](std::size_t h) {
+    hosts.for_each(n, [&](std::size_t, std::size_t h) {
       if (!host_alive[h]) {
         // Machine death fault: no egress at all.
         host_marked_share[h] = 0.0;
@@ -421,7 +415,7 @@ std::vector<DrillTick> DrillEngine::run() {
     double nonconf_syn = 0.0;
     double nonconf_rst = 0.0;
     double conf_fin = 0.0;
-    for_each_host([&](std::size_t h) {
+    hosts.for_each(n, [&](std::size_t, std::size_t h) {
       const bool marked = host_marked_share[h] > 0.5;
       const double host_loss =
           !host_alive[h] ? 1.0 : (marked ? nonconf_loss : prev_conf_loss);

@@ -174,6 +174,84 @@ LinkId Topology::apply(const Mutation& m) {
   return LinkId(0);
 }
 
+Expected<void> Topology::validate(std::span<const Mutation> batch) const {
+  const std::size_t pre_links = links_.size();
+  const std::size_t pre_regions = regions_.size();
+  const std::size_t pre_srlgs = srlg_count_;
+  std::vector<char> retired = retired_;
+  std::vector<char> drained = drained_;
+  std::vector<char> struck = struck_;
+  const auto invalid = [](const char* message) {
+    return Expected<void>(ErrorCode::invalid_argument, message);
+  };
+  for (const Mutation& m : batch) {
+    switch (m.kind) {
+      case MutationKind::add_fiber:
+        if (m.region_a.value() >= pre_regions || m.region_b.value() >= pre_regions) {
+          return invalid("add_fiber: region out of range");
+        }
+        if (m.region_a == m.region_b) return invalid("add_fiber: fiber endpoints equal");
+        if (!(m.capacity.value() > 0.0)) return invalid("add_fiber: capacity must be > 0");
+        if (m.conduit.has_value()) {
+          if (m.conduit->value() >= pre_links) {
+            return invalid("add_fiber: conduit link must predate the batch");
+          }
+          if (retired[m.conduit->value()] != 0) {
+            return invalid("add_fiber: conduit link is retired");
+          }
+        } else if (!(m.mtbf_hours >= 0.0 && m.mttr_hours >= 0.0)) {
+          return invalid("add_fiber: negative reliability");
+        }
+        continue;
+      case MutationKind::retire_fiber:
+        if (m.link.value() >= pre_links) {
+          return invalid("retire_fiber: link must predate the batch");
+        }
+        if (retired[m.link.value()] != 0) return invalid("retire_fiber: already retired");
+        retired[m.link.value()] = 1;
+        retired[links_[m.link.value()].reverse.value()] = 1;
+        continue;
+      case MutationKind::resize_fiber:
+        if (m.link.value() >= pre_links) {
+          return invalid("resize_fiber: link must predate the batch");
+        }
+        if (retired[m.link.value()] != 0) return invalid("resize_fiber: link is retired");
+        if (!(m.capacity.value() > 0.0)) return invalid("resize_fiber: capacity must be > 0");
+        continue;
+      case MutationKind::drain_region:
+        if (m.region_a.value() >= pre_regions) return invalid("drain_region: out of range");
+        if (drained[m.region_a.value()] != 0) return invalid("drain_region: already drained");
+        drained[m.region_a.value()] = 1;
+        continue;
+      case MutationKind::undrain_region:
+        if (m.region_a.value() >= pre_regions) return invalid("undrain_region: out of range");
+        if (drained[m.region_a.value()] == 0) return invalid("undrain_region: not drained");
+        drained[m.region_a.value()] = 0;
+        continue;
+      case MutationKind::strike_srlgs:
+      case MutationKind::repair_srlgs: {
+        if (m.srlgs.empty()) return invalid("strike/repair: empty SRLG list");
+        std::vector<SrlgId> unique(m.srlgs);
+        std::sort(unique.begin(), unique.end());
+        unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+        const bool striking = m.kind == MutationKind::strike_srlgs;
+        for (const SrlgId srlg : unique) {
+          if (srlg.value() >= pre_srlgs) {
+            return invalid("strike/repair: SRLG must predate the batch");
+          }
+          if ((struck[srlg.value()] != 0) == striking) {
+            return invalid(striking ? "strike_srlgs: already struck" : "repair_srlgs: not struck");
+          }
+        }
+        for (const SrlgId srlg : unique) struck[srlg.value()] = striking ? 1 : 0;
+        continue;
+      }
+    }
+    return invalid("unknown mutation kind");
+  }
+  return {};
+}
+
 Gbps Topology::effective_capacity(LinkId id) const {
   NETENT_EXPECTS(id.value() < links_.size());
   const Link& l = links_[id.value()];

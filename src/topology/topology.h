@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/expected.h"
 #include "common/types.h"
 #include "common/units.h"
 #include "topology/mutation.h"
@@ -98,6 +99,15 @@ class Topology {
   /// arrive as Mutation lists). Returns the created forward link id for
   /// add_fiber kinds, LinkId(0) otherwise.
   LinkId apply(const Mutation& mutation);
+
+  /// Checks a whole batch without applying any of it: each mutation is
+  /// held to the preconditions of its apply() against the state the
+  /// batch's earlier mutations would leave (retiring a fiber twice fails).
+  /// Ids must name pre-batch entities: a mutation may not target a link or
+  /// SRLG the same batch creates. Returns invalid_argument naming the first
+  /// broken rule; applying every mutation of an accepted batch, in order,
+  /// violates no precondition.
+  [[nodiscard]] Expected<void> validate(std::span<const Mutation> batch) const;
 
   // --- Versioning.
 

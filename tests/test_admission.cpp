@@ -92,11 +92,9 @@ TEST(AdmissionService, SingleWindowMatchesBatchApproval) {
   window.push_back(admit_request(3, hose_pair(3, QosClass::c3_low, 3, 0, 400.0)));
   const auto outcomes = run_window(controller, std::move(window));
 
-  // Reference: one engine, one joint call, same seed and thread resolution.
+  // Reference: one engine, one joint call, same seed.
   topology::Router router(topo, config.router_paths);
-  approval::ApprovalConfig reference_config = config.approval;
-  reference_config.exec.threads = controller.config().approval.exec.threads;
-  const approval::ApprovalEngine engine(router, reference_config);
+  const approval::ApprovalEngine engine(router, config.approval);
   // The same hoses in the same concatenation (= submission) order.
   std::vector<HoseRequest> all_hoses;
   for (const auto& hoses : {hose_pair(1, QosClass::c1_low, 0, 2, 90.0),

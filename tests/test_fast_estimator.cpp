@@ -111,7 +111,7 @@ void check_draw(const World& world, Router& router, std::span<const Demand> prel
 
   // Exact oracle: the incremental scenario sweep over preload + window.
   const std::vector<std::vector<double>> placed = sweep_scenario_placements(
-      router, all, world.caps, world.index, world.scenarios, /*num_threads=*/1,
+      router, all, world.caps, world.index, world.scenarios, /*exec=*/{},
       SweepMode::kIncremental);
 
   std::vector<double> exact_avail(window.size(), 0.0);

@@ -157,7 +157,7 @@ CycleResult run_seeded_cycle(std::size_t sweep_threads, std::uint64_t seed) {
   config.approval.realizations = 2;
   config.approval.slo_availability = 0.99;
   config.approval.scenarios.min_probability = 1e-7;
-  config.approval.exec.threads = sweep_threads;
+  config.exec.threads = sweep_threads;
   config.forecaster.prophet.use_yearly = false;
   config.high_touch_npgs = {0, 1};
   const EntitlementManager manager(topo, config);

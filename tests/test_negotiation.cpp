@@ -178,14 +178,15 @@ std::vector<HoseApprovalResult> mixed_results() {
   };
 }
 
-std::uint64_t pinned_proposals_hash(bool fastpath) {
+/// `exec` is lent to the engine the probes sweep on.
+std::uint64_t pinned_proposals_hash(bool fastpath, Executor exec = {}) {
   const Topology topo = asymmetric_topo();
   Router router(topo, 3);
   ApprovalConfig approval = relaxed_config();
   approval.fastpath.enabled = fastpath;
   NegotiationConfig config;
   config.min_useful_fraction = 0.1;
-  const ApprovalEngine engine(router, approval);
+  const ApprovalEngine engine(router, approval, exec);
   Rng rng(11);
   const std::vector<CounterProposal> proposals = negotiate(engine, config, mixed_results(), rng);
   std::size_t region_options = 0;
@@ -201,13 +202,18 @@ std::uint64_t pinned_proposals_hash(bool fastpath) {
 
 // Pinned before negotiation moved onto a caller-owned ApprovalEngine: every
 // proposal field must stay bit-identical on this fixture, exact-only and
-// with the fast tier on.
+// with the fast tier on, serially and with every probe's scenario sweep
+// fanned out on a lent 4-wide pool.
 TEST(Negotiation, ProposalsMatchPinnedFingerprintExactOnly) {
   EXPECT_EQ(pinned_proposals_hash(false), 1657705824329442337ULL);
+  ThreadPool pool(3);
+  EXPECT_EQ(pinned_proposals_hash(false, {&pool, 4}), 1657705824329442337ULL);
 }
 
 TEST(Negotiation, ProposalsMatchPinnedFingerprintWithFastPath) {
   EXPECT_EQ(pinned_proposals_hash(true), 1657705824329442337ULL);
+  ThreadPool pool(3);
+  EXPECT_EQ(pinned_proposals_hash(true, {&pool, 4}), 1657705824329442337ULL);
 }
 
 TEST(Negotiation, InvalidConfigRejected) {

@@ -214,10 +214,10 @@ TEST(ObsOverhead, RiskScenarioObsShareUnderTwoPercent) {
       if (a != b) pipes.push_back({RegionId(a), RegionId(b), Gbps(50)});
     }
   }
-  (void)sim.availability_curves(pipes, 1);  // warm the path cache
+  (void)sim.availability_curves(pipes);  // warm the path cache
 
   const double sweep = seconds_per_op(20, 3, [&](std::size_t) {
-    (void)sim.availability_curves(pipes, 1);
+    (void)sim.availability_curves(pipes);
   });
   const double per_scenario = sweep / static_cast<double>(scenarios.size());
   const double obs_per_scenario = t_span / 8.0;  // sampled 1-in-8

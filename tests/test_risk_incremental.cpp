@@ -108,12 +108,14 @@ TEST(RiskIncremental, CurvesBitIdenticalToFullSweepAcrossThreadsAndTopologies) {
     Sweep sweep(seed, seed % 2 == 0 ? 8u : 6u);
     Router router(sweep.topo, 3);
     const RiskSimulator sim(router, sweep.scenarios, router.full_capacities());
-    const auto full = sim.availability_curves(sweep.pipes, 1, SweepMode::kFull);
+    const auto full = sim.availability_curves(sweep.pipes, {}, SweepMode::kFull);
     for (const std::size_t threads : {1u, 2u, 8u}) {
+      ThreadPool pool(threads - 1);
+      const Executor exec{&pool, threads};
       expect_curves_bit_identical(
-          full, sim.availability_curves(sweep.pipes, threads, SweepMode::kIncremental));
-      expect_curves_bit_identical(
-          full, sim.availability_curves(sweep.pipes, threads, SweepMode::kFull));
+          full, sim.availability_curves(sweep.pipes, exec, SweepMode::kIncremental));
+      expect_curves_bit_identical(full,
+                                  sim.availability_curves(sweep.pipes, exec, SweepMode::kFull));
     }
   }
 }
@@ -124,7 +126,6 @@ TEST(RiskIncremental, VerifierAttainmentsBitIdenticalAcrossModes) {
 
   approval::ApprovalConfig config;
   config.slo_availability = 0.999;
-  config.exec.threads = 1;
   const approval::ApprovalEngine engine(router, config);
   std::vector<hose::PipeRequest> requests;
   for (std::uint32_t i = 0; i < 24; ++i) {
@@ -136,9 +137,11 @@ TEST(RiskIncremental, VerifierAttainmentsBitIdenticalAcrossModes) {
   const auto approvals = engine.pipe_approval(requests);
 
   const SloVerifier verifier(router, sweep.scenarios);
-  const auto full = verifier.verify(approvals, 1, SweepMode::kFull);
+  const auto full = verifier.verify(approvals, {}, SweepMode::kFull);
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    const auto incremental = verifier.verify(approvals, threads, SweepMode::kIncremental);
+    ThreadPool pool(threads - 1);
+    const auto incremental =
+        verifier.verify(approvals, {&pool, threads}, SweepMode::kIncremental);
     ASSERT_EQ(full.size(), incremental.size());
     for (std::size_t k = 0; k < full.size(); ++k) {
       EXPECT_EQ(full[k].achieved_availability, incremental[k].achieved_availability);
@@ -219,7 +222,8 @@ TEST(RiskIncremental, ReplayCountersDeterministicAcrossThreadCounts) {
     const std::uint64_t replayed = reg.counter("risk.replay.demands_replayed").value();
     const std::uint64_t skipped = reg.counter("risk.replay.demands_skipped").value();
     const std::uint64_t shorted = reg.counter("risk.replay.scenarios_short_circuited").value();
-    (void)sim.availability_curves(sweep.pipes, threads);
+    ThreadPool pool(threads - 1);
+    (void)sim.availability_curves(sweep.pipes, {&pool, threads});
     return std::vector<std::uint64_t>{
         reg.counter("risk.replay.demands_replayed").value() - replayed,
         reg.counter("risk.replay.demands_skipped").value() - skipped,

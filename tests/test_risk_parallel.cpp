@@ -68,10 +68,11 @@ TEST(RiskParallel, AvailabilityCurvesBitIdenticalAcrossThreadCounts) {
 
   Router router(sweep.topo, 3);
   const RiskSimulator sim(router, sweep.scenarios, router.full_capacities());
-  const auto serial = sim.availability_curves(sweep.pipes, 1);
+  const auto serial = sim.availability_curves(sweep.pipes);
 
   for (const std::size_t threads : {2u, 8u}) {
-    const auto parallel = sim.availability_curves(sweep.pipes, threads);
+    ThreadPool pool(threads - 1);
+    const auto parallel = sim.availability_curves(sweep.pipes, {&pool, threads});
     expect_curves_bit_identical(serial, parallel);
   }
 }
@@ -84,8 +85,9 @@ TEST(RiskParallel, ParallelSweepMatchesOnReducedBaseCapacity) {
     reduced[link.id.value()] = 0.5 * link.capacity.value();
   }
   const RiskSimulator sim(router, sweep.scenarios, reduced);
-  const auto serial = sim.availability_curves(sweep.pipes, 1);
-  const auto parallel = sim.availability_curves(sweep.pipes, 8);
+  const auto serial = sim.availability_curves(sweep.pipes);
+  ThreadPool pool(7);
+  const auto parallel = sim.availability_curves(sweep.pipes, {&pool, 8});
   expect_curves_bit_identical(serial, parallel);
 }
 
@@ -95,8 +97,9 @@ TEST(RiskParallel, RepeatedParallelSweepsAreStable) {
   Sweep sweep;
   Router router(sweep.topo, 3);
   const RiskSimulator sim(router, sweep.scenarios, router.full_capacities());
-  const auto first = sim.availability_curves(sweep.pipes, 4);
-  const auto second = sim.availability_curves(sweep.pipes, 4);
+  ThreadPool pool(3);
+  const auto first = sim.availability_curves(sweep.pipes, {&pool, 4});
+  const auto second = sim.availability_curves(sweep.pipes, {&pool, 4});
   expect_curves_bit_identical(first, second);
 }
 
@@ -131,7 +134,6 @@ TEST(RiskParallel, SloVerifierAttainmentsBitIdenticalAcrossThreadCounts) {
 
   approval::ApprovalConfig config;
   config.slo_availability = 0.999;
-  config.exec.threads = 1;
   const approval::ApprovalEngine engine(router, config);
   std::vector<hose::PipeRequest> requests;
   for (std::uint32_t i = 0; i < 24; ++i) {
@@ -143,9 +145,10 @@ TEST(RiskParallel, SloVerifierAttainmentsBitIdenticalAcrossThreadCounts) {
   const auto approvals = engine.pipe_approval(requests);
 
   const SloVerifier verifier(router, sweep.scenarios);
-  const auto serial = verifier.verify(approvals, 1);
+  const auto serial = verifier.verify(approvals);
   for (const std::size_t threads : {2u, 8u}) {
-    const auto parallel = verifier.verify(approvals, threads);
+    ThreadPool pool(threads - 1);
+    const auto parallel = verifier.verify(approvals, {&pool, threads});
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t k = 0; k < serial.size(); ++k) {
       EXPECT_EQ(serial[k].achieved_availability, parallel[k].achieved_availability);

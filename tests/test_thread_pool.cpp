@@ -207,5 +207,35 @@ TEST(ThreadPool, WidthBoundedLoopNeverExceedsWidth) {
   EXPECT_EQ(slot_hits[0].load() + slot_hits[1].load(), 100);
 }
 
+// Without a pool, or at width 1, an Executor's loop is a plain loop on the
+// calling thread: ascending indices, worker slot 0. Wider, it hands out
+// slots in [0, slots()).
+TEST(ThreadPool, ExecutorRunsInlineWithoutPoolOrAtWidthOne) {
+  ThreadPool pool(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (const Executor exec : {Executor{}, Executor{nullptr, 4}, Executor{&pool, 1}}) {
+    EXPECT_EQ(exec.slots(), 1u);
+    std::vector<std::size_t> order;
+    exec.for_each(50, [&](std::size_t worker, std::size_t i) {
+      EXPECT_EQ(worker, 0u);
+      EXPECT_EQ(std::this_thread::get_id(), caller);
+      order.push_back(i);
+    });
+    std::vector<std::size_t> expected(50);
+    for (std::size_t i = 0; i < expected.size(); ++i) expected[i] = i;
+    EXPECT_EQ(order, expected);
+  }
+
+  const Executor wide{&pool, 8};
+  EXPECT_EQ(wide.slots(), 4u);  // 3 workers + the calling thread
+  std::vector<std::atomic<int>> hits(100);
+  std::vector<std::atomic<int>> slot_hits(wide.slots());
+  wide.for_each(hits.size(), [&](std::size_t worker, std::size_t i) {
+    slot_hits.at(worker).fetch_add(1);
+    hits[i].fetch_add(1);
+  });
+  for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
+}
+
 }  // namespace
 }  // namespace netent
