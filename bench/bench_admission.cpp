@@ -74,10 +74,14 @@ int main(int argc, char** argv) {
   service::AdmissionController controller(topo, config);
 
   // Reference engine for the from-scratch path: same risk model, its own
-  // router so warming costs are attributed to the path that pays them.
+  // router so warming costs are attributed to the path that pays them, and
+  // its own pool at the controller's resolved width so both paths sweep on
+  // as many threads.
   topology::Router scratch_router(topo, config.router_paths);
-  approval::ApprovalConfig scratch_config = config.approval;
-  const approval::ApprovalEngine scratch_engine(scratch_router, scratch_config);
+  const std::size_t threads = *controller.config().exec.threads;
+  ThreadPool scratch_pool(threads - 1);
+  const approval::ApprovalEngine scratch_engine(scratch_router, config.approval,
+                                                {&scratch_pool, threads});
 
   const std::vector<std::size_t> sizes = smoke ? std::vector<std::size_t>{100, 1000}
                                                : std::vector<std::size_t>{10, 100, 1000};

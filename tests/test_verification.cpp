@@ -116,5 +116,47 @@ TEST_P(GrantingInvariant, AchievedAtLeastPromised) {
 INSTANTIATE_TEST_SUITE_P(SloTargets, GrantingInvariant,
                          ::testing::Values(0.9, 0.99, 0.999, 0.9998));
 
+// The approval sweeps and the verifier's replay on a lent 4-wide pool give
+// the serial attainments bit for bit (and keep a parallel verify path under
+// the sanitizer jobs).
+TEST(SloVerifier, LentPoolMatchesSerialBitForBit) {
+  Rng rng(33);
+  topology::GeneratorConfig gen;
+  gen.region_count = 7;
+  gen.max_parallel_fibers = 2;
+  const Topology topo = topology::generate_backbone(gen, rng);
+  Router router(topo, 3);
+  std::vector<PipeRequest> pipes;
+  for (std::uint32_t i = 0; i < 20; ++i) {
+    const auto s = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
+    auto d = static_cast<std::uint32_t>(rng.uniform_int(topo.region_count()));
+    if (d == s) d = (d + 1) % static_cast<std::uint32_t>(topo.region_count());
+    const auto qos = static_cast<QosClass>(rng.uniform_int(kQosClassCount));
+    pipes.push_back({NpgId(i), qos, RegionId(s), RegionId(d), Gbps(rng.uniform(50.0, 600.0))});
+  }
+  ApprovalConfig config;
+  config.slo_availability = 0.999;
+  config.scenarios.max_simultaneous = 2;
+  const SloVerifier verifier(router, enumerate_scenarios(topo, config.scenarios));
+
+  const auto serial_approvals = ApprovalEngine(router, config).pipe_approval(pipes);
+  const auto serial = verifier.verify(serial_approvals);
+
+  ThreadPool pool(3);
+  const Executor lent{&pool, 4};
+  const auto lent_approvals = ApprovalEngine(router, config, lent).pipe_approval(pipes);
+  ASSERT_EQ(lent_approvals.size(), serial_approvals.size());
+  for (std::size_t i = 0; i < serial_approvals.size(); ++i) {
+    EXPECT_EQ(lent_approvals[i].approved.value(), serial_approvals[i].approved.value()) << i;
+  }
+  const auto parallel = verifier.verify(lent_approvals, lent);
+  ASSERT_EQ(parallel.size(), serial.size());
+  ASSERT_FALSE(serial.empty());
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(parallel[i].request.npg, serial[i].request.npg) << i;
+    EXPECT_EQ(parallel[i].achieved_availability, serial[i].achieved_availability) << i;
+  }
+}
+
 }  // namespace
 }  // namespace netent::risk
